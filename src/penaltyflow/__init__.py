@@ -20,7 +20,7 @@ from .problem import (GradCheckReport, PenaltyConfig, Problem,
 from .flow import (FlowParams, FlowState, GammaBoundInputs, exp_factor,
                    fbar_dot_identity, flow_rhs, gamma_bound, series_factor)
 from .integrator import (IntegratorConfig, SolveResult, StopCriteria,
-                         integrate, rk_step, save_trajectory, solve)
+                         integrate, save_trajectory, solve)
 from .kkt import KktReport, extract_multipliers, kkt_residuals
 from .qp import (BenchReport, BenchRow, OracleSolution, QpData,
                  active_set_oracle, generate_random_qp, qp_problem,

@@ -6,6 +6,7 @@ codes: 0 success, 2 argument or file parse error, 3 solver failure.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -15,7 +16,7 @@ from . import fileio
 from .binary import (ORACLE_N_MAX, binarize, brute_force_oracle,
                      solve_binary, BINARY_Q)
 from .errors import FileFormatError, PenaltyFlowError
-from .flow import FlowParams, FlowState
+from .flow import MODES, FlowParams, FlowState
 from .integrator import IntegratorConfig, StopCriteria, solve, save_trajectory
 from .mpc import DEMO_STOP, condense, double_integrator_demo, Plant, \
     simulate_closed_loop
@@ -37,16 +38,12 @@ def _add_common(p):
                    help="series truncation order")
     p.add_argument("--m", type=int, default=None,
                    help="penalty exponent (default 2)")
-    p.add_argument("--mode", choices=("truncated", "exponential", "plain"),
-                   default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--rtol", type=float, default=None)
     p.add_argument("--atol", type=float, default=None)
     p.add_argument("--h-init", type=float, default=None)
-    p.add_argument("--h-min", type=float, default=None)
     p.add_argument("--h-max", type=float, default=None)
     p.add_argument("--sample-stride", type=int, default=None)
-    p.add_argument("--method", choices=("bdf", "rk45"), default=None,
-                   help="stepping backend (default bdf)")
     p.add_argument("--eps-psi", type=float, default=None)
     p.add_argument("--eps-g", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
@@ -58,54 +55,13 @@ def _add_common(p):
     p.add_argument("--report", default=None, help="report CSV path")
 
 
-def _flow_params(args, q_default=2):
-    kw = {}
-    if args.lam is not None:
-        kw["lam"] = args.lam
-    if args.gamma is not None:
-        kw["gamma"] = args.gamma
-    kw["q"] = args.q if args.q is not None else q_default
-    if args.mode is not None:
-        kw["mode"] = args.mode
-    if args.m is not None:
-        kw["m"] = args.m
-    return FlowParams(**kw)
-
-
-def _stop(args, base=StopCriteria()):
-    kw = {"eps_psi": base.eps_psi, "eps_g": base.eps_g,
-          "t_max": base.t_max, "rho_max": base.rho_max,
-          "max_steps": base.max_steps}
-    if args.eps_psi is not None:
-        kw["eps_psi"] = args.eps_psi
-    if args.eps_g is not None:
-        kw["eps_g"] = args.eps_g
-    if args.t_max is not None:
-        kw["t_max"] = args.t_max
-    if args.rho_max is not None:
-        kw["rho_max"] = args.rho_max
-    if args.max_steps is not None:
-        kw["max_steps"] = args.max_steps
-    return StopCriteria(**kw)
-
-
-def _config(args):
-    kw = {}
-    if args.rtol is not None:
-        kw["rtol"] = args.rtol
-    if args.atol is not None:
-        kw["atol"] = args.atol
-    if args.h_init is not None:
-        kw["h_init"] = args.h_init
-    if args.h_min is not None:
-        kw["h_min"] = args.h_min
-    if args.h_max is not None:
-        kw["h_max"] = args.h_max
-    if args.sample_stride is not None:
-        kw["sample_stride"] = args.sample_stride
-    if args.method is not None:
-        kw["method"] = args.method
-    return IntegratorConfig(**kw)
+def _override(base, args):
+    """``base`` with every field that has a non-None parsed flag of the
+    same name replaced by that flag's value."""
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(base)
+             if getattr(args, f.name) is not None}
+    return dataclasses.replace(base, **given)
 
 
 def _emit(args, text):
@@ -116,10 +72,11 @@ def _emit(args, text):
 
 def cmd_solve_qp(args) -> int:
     data = fileio.load_qp(args.input)
-    params = _flow_params(args)
+    params = _override(FlowParams(), args)
     problem = qp_problem(data, params.cfg)
     res = solve(problem, params, FlowState(x=np.zeros(data.n), rho=0.0),
-                _stop(args), _config(args))
+                _override(StopCriteria(), args),
+                _override(IntegratorConfig(), args))
     if args.trace:
         save_trajectory(res, args.trace)
     k = res.kkt
@@ -140,9 +97,11 @@ def cmd_bench(args) -> int:
         print(f"error: --nc {args.nc} exceeds the oracle bound "
               f"{ORACLE_NC_MAX}", file=sys.stderr)
         return EXIT_PARSE
-    params = _flow_params(args)
+    params = _override(FlowParams(), args)
     report = run_benchmark(args.count, args.n, args.nc, params,
-                           _stop(args), _config(args), seed=args.seed)
+                           _override(StopCriteria(), args),
+                           _override(IntegratorConfig(), args),
+                           seed=args.seed)
     out = args.report or "bench.csv"
     report.to_csv(out)
     if args.trace:
@@ -181,10 +140,10 @@ def cmd_mpc(args) -> int:
         steps, u_max = 60, 0.5
     if args.steps is not None:
         steps = args.steps
-    params = _flow_params(args)
+    params = _override(FlowParams(), args)
     trace = simulate_closed_loop(plant, pqp, xi0, steps, params,
-                                 _stop(args, base=DEMO_STOP),
-                                 _config(args))
+                                 _override(DEMO_STOP, args),
+                                 _override(IntegratorConfig(), args))
     if args.trace:
         trace.to_csv(args.trace)
     max_u = float(np.abs(trace.u).max(initial=0.0))
@@ -198,8 +157,9 @@ def cmd_mpc(args) -> int:
 
 def cmd_minlp(args) -> int:
     bp = fileio.load_binary_problem(args.input)
-    params = _flow_params(args, q_default=BINARY_Q)
-    result = solve_binary(bp, params, _stop(args), _config(args),
+    params = _override(FlowParams(q=BINARY_Q), args)
+    result = solve_binary(bp, params, _override(StopCriteria(), args),
+                          _override(IntegratorConfig(), args),
                           max_minima=args.max_minima, mu_defl=args.mu_defl)
     oracle_f = None
     oracle_skipped = bp.n > ORACLE_N_MAX

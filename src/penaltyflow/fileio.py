@@ -7,6 +7,7 @@ directory followed by an atomic rename.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -59,16 +60,29 @@ def _get(doc, field, kind=None):
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
             raise FileFormatError(field, "expected an integer")
+    if kind is float:
+        if (not isinstance(val, (int, float)) or isinstance(val, bool)
+                or not math.isfinite(val)):
+            raise FileFormatError(field, "expected a finite number")
     return val
 
 
-def _matrix(doc, field, rows, cols):
-    """Row-major flat list -> (rows, cols) array, dimension checked."""
+def _floats(doc, field):
+    """A number or a (nested) list of numbers -> flat float array; every
+    entry must be finite (JSON NaN and Infinity are rejected)."""
     raw = _get(doc, field)
     try:
         arr = np.asarray(raw, dtype=float).reshape(-1)
     except (TypeError, ValueError) as e:
         raise FileFormatError(field, str(e)) from e
+    if not np.all(np.isfinite(arr)):
+        raise FileFormatError(field, "entries must be finite")
+    return arr
+
+
+def _matrix(doc, field, rows, cols):
+    """Row-major flat list -> (rows, cols) array, dimension checked."""
+    arr = _floats(doc, field)
     if arr.size != rows * cols:
         raise FileFormatError(
             field, f"expected {rows * cols} entries, got {arr.size}")
@@ -126,7 +140,7 @@ def load_mpc_scenario(path):
     N = _get(doc, "horizon", int)
     if N < 1:
         raise FileFormatError("horizon", "must be >= 1")
-    u_max = float(_get(doc, "u_max"))
+    u_max = float(_get(doc, "u_max", float))
     if u_max < 0.0:
         raise FileFormatError("u_max", "must be >= 0")
     out = {
@@ -157,7 +171,7 @@ def load_binary_problem(path):
     if ("A" in doc) != ("B" in doc):
         raise FileFormatError("A", "A and B must be given together")
     if "A" in doc:
-        raw = np.asarray(doc["A"], dtype=float).reshape(-1)
+        raw = _floats(doc, "A")
         if raw.size % n != 0:
             raise FileFormatError("A", f"size not a multiple of n={n}")
         nbar = raw.size // n

@@ -1,9 +1,9 @@
 """Right-hand sides of the coupled (x, rho) flows and the related
-diagnostics: the truncated-series, exponential, and plain scaling factors,
-the gamma smallness bound, and the dfbar/dt identity used as a runtime
+diagnostics: the truncated-series and exponential scaling factors, the
+gamma smallness bound, and the dfbar/dt identity used as a runtime
 property check.
 
-All three flows share the structure
+Both flows share the structure
 
     dx/dt   = -factor(g) * fbar_x(x, rho)
     drho/dt = gamma * psi(x)
@@ -24,7 +24,7 @@ __all__ = [
     "exp_factor", "flow_rhs", "gamma_bound", "fbar_dot_identity",
 ]
 
-MODES = ("truncated", "exponential", "plain")
+MODES = ("truncated", "exponential")
 
 # exp(x) overflows double precision just above x = 709; the guard fires a
 # little earlier so the error names the magnitude instead of returning inf
@@ -36,8 +36,10 @@ class FlowParams:
     """Flow configuration: gradient scaling lambda, penalty growth rate
     gamma, series truncation order q, flow mode, and penalty exponent m.
 
-    mode = "plain" forces the scaling factor to the constant 1 and is
-    bitwise identical to "truncated" with q = 1.
+    mode = "truncated" scales the gradient by the series factor of order
+    q, mode = "exponential" by its q -> infinity limit exp(lam * g).
+    With q = 1 the series factor is the constant 1, which gives the
+    unscaled penalty gradient flow.
     """
 
     lam: float = 1e-4
@@ -128,8 +130,6 @@ def exp_factor(g: float, lam: float) -> float:
 
 
 def _factor(g, params: FlowParams) -> float:
-    if params.mode == "plain":
-        return 1.0
     if params.mode == "exponential":
         return exp_factor(g, params.lam)
     return series_factor(g, params.lam, params.q)

@@ -1,25 +1,18 @@
 """Flow integration with event-based stopping, trajectory sampling, and a
 cost-monotonicity monitor, wrapped into the top-level ``solve``.
 
-Two stepping backends are available through IntegratorConfig.method:
-
-* "bdf" (default): a variable-order implicit multistep method, driven one
-  accepted step at a time. The penalty Hessian scale grows like rho along
-  the flow, so reaching the asymptotic regime (psi below 1e-8 at
-  gamma = 1e-6 means flow times beyond 1e15) is only practical for a
-  stiff method whose steps grow geometrically. If the stepper stalls it
-  is rebuilt from the last accepted state; rebuilds that make no forward
-  progress terminate the run.
-* "rk45": an explicit Dormand-Prince 5(4) embedded pair with a
-  proportional-integral step controller, exposed through rk_step. Useful
-  at desk scale and for moderate horizons; stiffness is handled by the
-  h_min clamp together with the rho_max stop.
+The flow is stepped by scipy's BDF, a variable-order implicit multistep
+method, driven one accepted step at a time. The penalty Hessian scale
+grows like rho along the flow, so reaching the asymptotic regime (psi
+below 1e-8 at gamma = 1e-6 means flow times beyond 1e15) is only
+practical for a stiff method whose steps grow geometrically. If the
+stepper stalls it is rebuilt from the last accepted state; rebuilds that
+make no forward progress terminate the run.
 
 The integrand state is packed as y = [x_0 .. x_{n-1}, rho].
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,8 +26,8 @@ from .problem import Problem, eval_g, eval_penalty
 from .fileio import atomic_write_text, fmt
 
 __all__ = [
-    "StopCriteria", "IntegratorConfig", "SolveResult", "rk_step",
-    "integrate", "solve", "trajectory_header", "save_trajectory",
+    "StopCriteria", "IntegratorConfig", "SolveResult", "integrate",
+    "solve", "trajectory_header", "save_trajectory",
 ]
 
 STATUSES = ("converged", "t_max_reached", "rho_max_reached",
@@ -54,7 +47,7 @@ class StopCriteria:
     converged once psi <= eps_psi and g <= eps_g simultaneously.
     t_max is flow time (dimensionless), not wall-clock. The default is
     large because the asymptotic regime at gamma = 1e-6 lives at flow
-    times around 1e15 and beyond; the stiff backend covers such horizons
+    times around 1e15 and beyond; the stiff stepper covers such horizons
     in a few hundred steps.
     """
 
@@ -73,26 +66,22 @@ class StopCriteria:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Local-error tolerances, step-size bounds, trajectory decimation,
-    and the stepping backend."""
+    """Local-error tolerances, first and largest step sizes, and
+    trajectory decimation."""
 
     rtol: float = 1e-6
     atol: float = 1e-9
     h_init: float = 1e-6
-    h_min: float = 1e-12
     h_max: float = math.inf
     sample_stride: int = 10
-    method: str = "bdf"
 
     def __post_init__(self):
         if self.rtol <= 0.0 or self.atol <= 0.0:
             raise ValueError("rtol and atol must be > 0")
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("need 0 < h_min <= h_init <= h_max")
+        if not (0.0 < self.h_init <= self.h_max):
+            raise ValueError("need 0 < h_init <= h_max")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-        if self.method not in ("bdf", "rk45"):
-            raise ValueError("method must be 'bdf' or 'rk45'")
 
 
 @dataclass
@@ -103,10 +92,8 @@ class SolveResult:
     trajectory rows are [t, rho, psi, g, f, fbar, x_0 .. x_{n-1}],
     decimated to every sample_stride-th accepted step plus the initial
     and final states. status = "converged" guarantees psi_final <=
-    eps_psi and g_final <= eps_g.
-
-    With the bdf backend, step rejections happen inside the stepper and
-    are not observable; rejected_steps is reported as 0 there.
+    eps_psi and g_final <= eps_g. restarts counts the rebuilds of a
+    stalled stepper.
     """
 
     status: str
@@ -119,7 +106,6 @@ class SolveResult:
     fbar: float
     trajectory: np.ndarray
     accepted_steps: int
-    rejected_steps: int
     restarts: int = 0
     warnings: list = field(default_factory=list)
     mu: Optional[np.ndarray] = None
@@ -141,76 +127,16 @@ def save_trajectory(result: SolveResult, path) -> None:
 
 
 # ----------------------------------------------------------------------
-# explicit embedded pair (Dormand-Prince 5(4)) with step control
-# ----------------------------------------------------------------------
-
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-              -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-_SAFETY = 0.9
-_ORDER = 5.0
-_FAC_MIN, _FAC_MAX = 0.2, 5.0
-
-
-def rk_step(rhs, y, t: float, h: float, config: IntegratorConfig):
-    """One embedded 5(4) step of ``rhs`` from (t, y) with step h.
-
-    Returns (y5, err, h_next): the fifth-order candidate, the local error
-    in the mixed norm scaled by atol + rtol*|y| (err <= 1 means accept),
-    and a controller suggestion for the next step clamped to
-    [h_min, h_max]. RHS failures propagate to the caller with the
-    failing time attached.
-
-    The suggestion here uses the elementary controller; the integration
-    loop refines it with the previous accepted error (PI control).
-    """
-    k = np.empty((7, y.size))
-    try:
-        k[0] = rhs(t, y)
-        for s in range(1, 7):
-            ys = y + h * (_DP_A[s] @ k[:s])
-            k[s] = rhs(t + _DP_C[s] * h, ys)
-    except (EvaluationError, FactorOverflowError) as exc:
-        exc.t = t
-        raise
-    y5 = y + h * (_DP_B5 @ k)
-    y4 = y + h * (_DP_B4 @ k)
-    scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y5))
-    diff = (y5 - y4) / scale
-    err = float(np.sqrt(np.mean(diff * diff)))
-    if err == 0.0:
-        fac = _FAC_MAX
-    else:
-        fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** (-1.0 / _ORDER)))
-    h_next = min(config.h_max, max(config.h_min, h * fac))
-    return y5, err, h_next
-
-
-# ----------------------------------------------------------------------
 # integration loop
 # ----------------------------------------------------------------------
 
 class _Recorder:
     """Accumulates decimated trajectory rows and the monitor state."""
 
-    def __init__(self, problem, params, stop, config):
+    def __init__(self, problem, params, config):
         self.problem = problem
         self.params = params
         self.cfg = params.cfg
-        self.stop = stop
         self.config = config
         self.rows = []
         self.accepted = 0
@@ -259,25 +185,23 @@ class _Recorder:
 
 
 def _make_rhs(problem, params):
-    """Flow RHS over packed y; evaluator failures set a flag and poison
-    the output with NaN so implicit steppers fail softly."""
+    """Flow RHS over packed y. An evaluator failure sets a flag and
+    poisons the output with NaN, so the stepper fails softly; once the
+    flag is set every later call returns NaN."""
     failure = {"exc": None}
 
     def rhs(t, y):
-        state = FlowState(x=y[:-1], rho=float(y[-1]), t=t)
-        dx, drho = flow_rhs(problem, state, params)
-        return np.concatenate([dx, [drho]])
-
-    def rhs_guarded(t, y):
         if failure["exc"] is not None:
             return np.full(y.size, np.nan)
         try:
-            return rhs(t, y)
+            state = FlowState(x=y[:-1], rho=float(y[-1]), t=t)
+            dx, drho = flow_rhs(problem, state, params)
         except (EvaluationError, FactorOverflowError) as exc:
             failure["exc"] = exc
             return np.full(y.size, np.nan)
+        return np.concatenate([dx, [drho]])
 
-    return rhs, rhs_guarded, failure
+    return rhs, failure
 
 
 def integrate(problem: Problem, params: FlowParams, state0: FlowState,
@@ -286,9 +210,9 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
 
     Convergence (psi <= eps_psi and g <= eps_g) is checked after every
     accepted step; trajectory samples are retained every sample_stride
-    accepted steps plus the initial and final states. Never raises past
-    the result: evaluator and overflow failures surface as status
-    "rhs_failure" with the detail in ``warnings``.
+    accepted steps plus the initial and final states. Evaluator and
+    overflow failures surface as status "rhs_failure" with the detail in
+    ``warnings``; any other exception raised by an evaluator propagates.
     """
     if state0.rho < 0.0:
         raise ValueError("initial rho must be >= 0")
@@ -296,17 +220,8 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
                         [float(state0.rho)]])
     t = float(state0.t)
 
-    rec = _Recorder(problem, params, stop, config)
-    rhs, rhs_guarded, failure = _make_rhs(problem, params)
-
-    def finish(status, t, y, rejected, restarts):
-        x, rho, psi, g, f, fbar = rec.measure(t, y)
-        rec.record(t, x, rho, psi, g, f, fbar, force=True)
-        return SolveResult(
-            status=status, x=x.copy(), rho=rho, t=t, psi=psi, g=g, f=f,
-            fbar=fbar, trajectory=np.array(rec.rows, dtype=float),
-            accepted_steps=rec.accepted, rejected_steps=rejected,
-            restarts=restarts, warnings=list(rec.warnings))
+    rec = _Recorder(problem, params, config)
+    rhs, failure = _make_rhs(problem, params)
 
     # initial sample and immediate convergence check
     try:
@@ -317,118 +232,71 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
             status="rhs_failure", x=np.asarray(state0.x, float).copy(),
             rho=float(state0.rho), t=t, psi=math.nan, g=math.nan,
             f=math.nan, fbar=math.nan, trajectory=np.zeros((0, y.size + 5)),
-            accepted_steps=0, rejected_steps=0, warnings=list(rec.warnings))
+            accepted_steps=0, warnings=list(rec.warnings))
     rec.record(t, x, rho, psi, g, f, fbar, force=True)
     rec.monitor(fbar)
-    if psi <= stop.eps_psi and g <= stop.eps_g:
-        return finish("converged", t, y, 0, 0)
+    status = ("converged" if psi <= stop.eps_psi and g <= stop.eps_g
+              else None)
 
-    if config.method == "rk45":
-        return _run_rk45(problem, rec, rhs, t, y, stop, config, finish)
-    return _run_bdf(rec, rhs_guarded, failure, t, y, stop, config, finish)
-
-
-def _check_state(rec, t, y, stop):
-    """Post-step measurement and stop-criterion evaluation.
-
-    Returns (status or None, measurement tuple)."""
-    x, rho, psi, g, f, fbar = rec.measure(t, y)
-    rec.record(t, x, rho, psi, g, f, fbar)
-    rec.monitor(fbar)
-    if psi <= stop.eps_psi and g <= stop.eps_g:
-        return "converged"
-    if rho > stop.rho_max:
-        return "rho_max_reached"
-    if rec.accepted >= stop.max_steps:
-        return "step_budget_exhausted"
-    return None
-
-
-def _run_bdf(rec, rhs_guarded, failure, t, y, stop, config, finish):
     restarts = 0
     t_anchor = t
-    while True:
-        stepper = BDF(rhs_guarded, t, y, t_bound=stop.t_max,
+    while status is None:
+        stepper = BDF(rhs, t, y, t_bound=stop.t_max,
                       rtol=config.rtol, atol=config.atol,
                       max_step=config.h_max, first_step=config.h_init)
-        while stepper.status == "running":
+        while status is None and stepper.status == "running":
             try:
                 stepper.step()
             except Exception:
-                # a raise out of the stepper is treated like a stall
-                stepper.status = "failed"
+                # the NaN output of a flagged RHS can make scipy raise;
+                # any other raise is a fault in the evaluators
+                if failure["exc"] is None:
+                    raise
             if failure["exc"] is not None:
-                exc = failure["exc"]
-                rec.warnings.append(f"rhs failure at t={stepper.t:g}: {exc}")
-                return finish("rhs_failure", t, y, 0, restarts)
-            if stepper.status == "failed":
-                break
-            t, y = stepper.t, stepper.y
-            rec.accepted += 1
-            try:
-                status = _check_state(rec, t, y, stop)
-            except (EvaluationError, FactorOverflowError) as exc:
-                rec.warnings.append(f"rhs failure at t={t:g}: {exc}")
-                return finish("rhs_failure", t, y, 0, restarts)
-            if status is not None:
-                return finish(status, t, y, 0, restarts)
+                rec.warnings.append(
+                    f"rhs failure at t={stepper.t:g}: {failure['exc']}")
+                status = "rhs_failure"
+            elif stepper.status != "failed":
+                try:
+                    x, rho, psi, g, f, fbar = rec.measure(stepper.t,
+                                                          stepper.y)
+                except (EvaluationError, FactorOverflowError) as exc:
+                    # the result keeps the last state that measured
+                    rec.warnings.append(
+                        f"rhs failure at t={stepper.t:g}: {exc}")
+                    status = "rhs_failure"
+                    break
+                t, y = stepper.t, stepper.y
+                rec.accepted += 1
+                rec.record(t, x, rho, psi, g, f, fbar)
+                rec.monitor(fbar)
+                if psi <= stop.eps_psi and g <= stop.eps_g:
+                    status = "converged"
+                elif rho > stop.rho_max:
+                    status = "rho_max_reached"
+                elif rec.accepted >= stop.max_steps:
+                    status = "step_budget_exhausted"
+        if status is not None:
+            break
         if stepper.status == "finished":
-            return finish("t_max_reached", stepper.t, stepper.y, 0, restarts)
+            status = "t_max_reached"
+            break
         # stepper stalled: rebuild from the last accepted state, but only
         # while rebuilds keep advancing t
         restarts += 1
         if restarts > _MAX_RESTARTS or (t <= t_anchor and restarts > 1):
             rec.warnings.append(
                 f"stiff stepper failed at t={t:g} after {restarts} restarts")
-            return finish("rhs_failure", t, y, 0, restarts)
+            status = "rhs_failure"
         t_anchor = t
 
-
-def _run_rk45(problem, rec, rhs, t, y, stop, config, finish):
-    h = config.h_init
-    err_prev = 1.0
-    rejected = 0
-    hmin_warned = False
-    # PI controller exponents for an order-5 error estimate
-    k_i, k_p = 0.7 / _ORDER, 0.4 / _ORDER
-    while True:
-        h = min(h, stop.t_max - t, config.h_max)
-        if h <= 0.0:
-            return finish("t_max_reached", t, y, rejected, 0)
-        try:
-            y_new, err, _ = rk_step(rhs, y, t, h, config)
-        except (EvaluationError, FactorOverflowError) as exc:
-            rec.warnings.append(
-                f"rhs failure at t={getattr(exc, 't', t):g}: {exc}")
-            return finish("rhs_failure", t, y, rejected, 0)
-        at_hmin = h <= config.h_min
-        if err <= 1.0 or at_hmin:
-            # at the h_min clamp the step is taken regardless of err
-            if err > 1.0 and not hmin_warned:
-                hmin_warned = True
-                rec.warnings.append(
-                    f"step size clamped at h_min={config.h_min:g} with "
-                    "local error above tolerance")
-            t = t + h
-            y = y_new
-            rec.accepted += 1
-            try:
-                status = _check_state(rec, t, y, stop)
-            except (EvaluationError, FactorOverflowError) as exc:
-                rec.warnings.append(f"rhs failure at t={t:g}: {exc}")
-                return finish("rhs_failure", t, y, rejected, 0)
-            if status is not None:
-                return finish(status, t, y, rejected, 0)
-            if t >= stop.t_max:
-                return finish("t_max_reached", t, y, rejected, 0)
-            e = max(err, 1e-10)
-            fac = _SAFETY * e ** (-k_i) * err_prev ** k_p
-            err_prev = e
-        else:
-            rejected += 1
-            fac = _SAFETY * err ** (-1.0 / _ORDER)
-        h = min(config.h_max, max(config.h_min,
-                                  h * min(_FAC_MAX, max(_FAC_MIN, fac))))
+    x, rho, psi, g, f, fbar = rec.measure(t, y)
+    rec.record(t, x, rho, psi, g, f, fbar, force=True)
+    return SolveResult(
+        status=status, x=x.copy(), rho=rho, t=t, psi=psi, g=g, f=f,
+        fbar=fbar, trajectory=np.array(rec.rows, dtype=float),
+        accepted_steps=rec.accepted, restarts=restarts,
+        warnings=list(rec.warnings))
 
 
 def solve(problem: Problem, params: FlowParams, state0: FlowState,

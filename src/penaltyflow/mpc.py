@@ -6,9 +6,8 @@ step the instantiated QP is handed to the flow integrator (warm-started
 from the previous solution), the first input of the optimizer is applied,
 and the plant is advanced.
 
-The decision vector is the stacked input sequence directly (the input
-parametrization Pi is the identity), so u(k) is just the first n_u
-components of the solution.
+The decision vector is the stacked input sequence directly, so u(k) is
+just the first n_u components of the solution.
 """
 
 from dataclasses import dataclass, field
@@ -67,19 +66,17 @@ class Plant:
 class ParametricQp:
     """State-parametric QP
 
-        min (1/2) x'Hx + [f0 + F1 xi]'x
-        s.t. A x <= b0 + Bmat xi
+        min (1/2) x'Hx + (F1 xi)'x
+        s.t. A x <= b0
 
-    with input parametrization u_stack = Pi x over horizon N.
+    over the stacked inputs x = (u_0, .., u_{N-1}) of horizon N. Only
+    the linear term depends on the measured state xi.
     """
 
     H: np.ndarray
-    f0: np.ndarray
     F1: np.ndarray
     A: np.ndarray
     b0: np.ndarray
-    Bmat: np.ndarray
-    Pi: np.ndarray
     N: int
 
 
@@ -91,11 +88,11 @@ def condense(plant: Plant, N: int, Q, R, P, u_max: float) -> ParametricQp:
     stacked prediction Xi = T xi0 + S U gives
 
         H  = Rbar + S' Qbar S      (symmetrized)
-        F1 = S' Qbar T ,   f0 = 0
+        F1 = S' Qbar T
 
     which represents half the true cost, leaving the argmin unchanged.
     Input box constraints |u_j| <= u_max become A = [I; -I],
-    b0 = u_max * 1, Bmat = 0.
+    b0 = u_max * 1.
     """
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -131,9 +128,7 @@ def condense(plant: Plant, N: int, Q, R, P, u_max: float) -> ParametricQp:
     F1 = S.T @ Qbar @ T
     A = np.vstack([np.eye(n), -np.eye(n)])
     b0 = np.full(2 * n, float(u_max))
-    Bmat = np.zeros((2 * n, n_xi))
-    return ParametricQp(H=H, f0=np.zeros(n), F1=F1, A=A, b0=b0,
-                        Bmat=Bmat, Pi=np.eye(n), N=N)
+    return ParametricQp(H=H, F1=F1, A=A, b0=b0, N=N)
 
 
 def instantiate(pqp: ParametricQp, xi) -> QpData:
@@ -142,8 +137,7 @@ def instantiate(pqp: ParametricQp, xi) -> QpData:
     if xi.shape != (pqp.F1.shape[1],):
         raise ValueError(f"xi has shape {xi.shape}, expected "
                          f"({pqp.F1.shape[1]},)")
-    return QpData(H=pqp.H, F=pqp.f0 + pqp.F1 @ xi, A=pqp.A,
-                  B=pqp.b0 + pqp.Bmat @ xi)
+    return QpData(H=pqp.H, F=pqp.F1 @ xi, A=pqp.A, B=pqp.b0)
 
 
 def mpc_step(pqp: ParametricQp, xi, params: FlowParams,
@@ -167,8 +161,7 @@ def mpc_step(pqp: ParametricQp, xi, params: FlowParams,
     else:
         x0 = np.zeros(n)
     res = solve(problem, params, FlowState(x=x0, rho=0.0), stop, config)
-    n_u = pqp.Pi.shape[0] // pqp.N
-    u = (pqp.Pi @ res.x)[:n_u]
+    u = res.x[:n // pqp.N].copy()
     return u, res
 
 

@@ -111,7 +111,7 @@ def test_criterion_3_flow_identity():
     problems.append(pf.binarize(_seeded_binary(1)))
     param_pool = [pf.FlowParams(), pf.FlowParams(q=4),
                   pf.FlowParams(mode="exponential"),
-                  pf.FlowParams(mode="plain")]
+                  pf.FlowParams(q=1)]
     checked = 0
     worst = 0.0
     for prob in problems:

@@ -194,5 +194,47 @@ class TestParser:
     def test_no_subcommand(self, capsys):
         assert main([]) == EXIT_PARSE
 
-    def test_unknown_flag(self, capsys):
+    def test_unknown_flag(self, tmp_path, capsys):
         assert main(["bench", "--does-not-exist"]) == EXIT_PARSE
+        # the explicit stepper and its options are gone
+        qp = _descent_qp(tmp_path)
+        for flags in (["--method", "rk45"], ["--h-min", "1e-9"],
+                      ["--mode", "plain"]):
+            assert main(["solve-qp", qp, *flags]) == EXIT_PARSE
+
+
+def _mpc_doc(**fields):
+    doc = {"plant": {"n_xi": 1, "n_u": 1, "A_d": [1.0], "B_d": [1.0]},
+           "horizon": 2, "u_max": 0.5, "Q": [1.0], "R": [1.0], "P": [1.0],
+           "steps": 1}
+    doc.update(fields)
+    return doc
+
+
+_QP_DOC = {"n": 1, "nc": 1, "H": [1.0], "F": [0.0], "A": [1.0], "B": [1.0]}
+_BINARY_DOC = {"n": 2, "H": [0.0] * 4, "F": [0.0, 0.0], "A": [1.0, 1.0],
+               "B": [1.0]}
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command, doc, field", [
+        ("minlp", {**_BINARY_DOC, "A": ["x", 1.0]}, "A"),
+        ("minlp", {**_BINARY_DOC, "A": [_NAN, 1.0]}, "A"),
+        ("minlp", {**_BINARY_DOC, "F": [0.0, -_INF]}, "F"),
+        ("mpc", _mpc_doc(u_max="x"), "u_max"),
+        ("mpc", _mpc_doc(u_max=_NAN), "u_max"),
+        ("mpc", _mpc_doc(u_max=_INF), "u_max"),
+        ("mpc", _mpc_doc(Q=[_NAN]), "Q"),
+        ("mpc", _mpc_doc(xi0=[_INF]), "xi0"),
+        ("solve-qp", {**_QP_DOC, "F": [_NAN]}, "F"),
+        ("solve-qp", {**_QP_DOC, "H": [_INF]}, "H"),
+        ("solve-qp", {**_QP_DOC, "B": [-_INF]}, "B"),
+    ])
+    def test_typed_error_and_exit_2(self, tmp_path, capsys, command, doc,
+                                    field):
+        # json.dumps writes non-finite floats as NaN / Infinity literals
+        rc = main([command, _write_json(tmp_path, "in.json", doc),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == EXIT_PARSE
+        assert f"bad or missing field '{field}'" in capsys.readouterr().err

@@ -71,8 +71,9 @@ class TestFlowRhs:
         """At (0,0) with rho = 0 the weighted gradient vanishes, so x is
         stationary while rho ramps at gamma * psi = gamma."""
         gamma = 1e-3
-        for mode in ("truncated", "exponential", "plain"):
-            params = FlowParams(gamma=gamma, mode=mode)
+        for params in (FlowParams(gamma=gamma),
+                       FlowParams(gamma=gamma, mode="exponential"),
+                       FlowParams(gamma=gamma, q=1)):
             dx, drho = flow_rhs(halfspace_problem,
                                 FlowState(x=np.zeros(2)), params)
             np.testing.assert_array_equal(dx, [0.0, 0.0])
@@ -80,7 +81,7 @@ class TestFlowRhs:
 
     def test_unconstrained_plain_is_gradient_descent(self):
         dx, drho = flow_rhs(_quad(2), FlowState(x=np.array([3.0, 4.0])),
-                            FlowParams(mode="plain"))
+                            FlowParams(q=1))
         np.testing.assert_array_equal(dx, [-3.0, -4.0])
         assert drho == 0.0
 
@@ -101,18 +102,6 @@ class TestFlowRhs:
             np.testing.assert_allclose(dx, expected, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(drho, 1e-6 * float(np.sum(cp ** 2)),
                                        rtol=1e-12)
-
-    def test_plain_equals_truncated_q1_bitwise(self, halfspace_problem):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            state = FlowState(x=rng.standard_normal(2),
-                              rho=float(rng.uniform(0.0, 3.0)))
-            dx_p, dr_p = flow_rhs(halfspace_problem, state,
-                                  FlowParams(mode="plain"))
-            dx_t, dr_t = flow_rhs(halfspace_problem, state,
-                                  FlowParams(mode="truncated", q=1))
-            np.testing.assert_array_equal(dx_p, dx_t)
-            assert dr_p == dr_t
 
     def test_dx_antiparallel_to_gradient(self, halfspace_problem):
         rng = np.random.default_rng(4)
@@ -162,7 +151,7 @@ class TestFbarDotIdentity:
     def test_unconstrained_plain(self):
         analytic, assembled = fbar_dot_identity(
             _quad(2), FlowState(x=np.array([3.0, 4.0])),
-            FlowParams(mode="plain"))
+            FlowParams(q=1))
         np.testing.assert_allclose(analytic, -25.0, rtol=1e-15)
         np.testing.assert_allclose(assembled, -25.0, rtol=1e-15)
 
@@ -177,8 +166,9 @@ class TestFbarDotIdentity:
         for seed in range(5):
             data, _ = generate_random_qp(4, 6, seed)
             prob = qp_problem(data)
-            for mode in ("truncated", "exponential", "plain"):
-                params = FlowParams(mode=mode, q=3)
+            for params in (FlowParams(q=3),
+                           FlowParams(mode="exponential", q=3),
+                           FlowParams(q=1)):
                 for _ in range(20):
                     state = FlowState(x=rng.standard_normal(4),
                                       rho=float(rng.uniform(0.0, 10.0)))

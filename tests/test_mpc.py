@@ -47,11 +47,8 @@ class TestCondense:
         pqp = _scalar_pqp(u_max=10.0)
         np.testing.assert_array_equal(pqp.H, [[2.0]])
         np.testing.assert_array_equal(pqp.F1, [[1.0]])
-        np.testing.assert_array_equal(pqp.f0, [0.0])
         np.testing.assert_array_equal(pqp.A, [[1.0], [-1.0]])
         np.testing.assert_array_equal(pqp.b0, [10.0, 10.0])
-        np.testing.assert_array_equal(pqp.Bmat, np.zeros((2, 1)))
-        np.testing.assert_array_equal(pqp.Pi, [[1.0]])
         assert pqp.N == 1
 
     def test_cost_matches_rollout(self, demo):
@@ -101,7 +98,7 @@ class TestInstantiate:
     def test_zero_state_gives_base_terms(self, demo):
         _, pqp, _ = demo
         data = pf.instantiate(pqp, np.zeros(2))
-        np.testing.assert_array_equal(data.F, pqp.f0)
+        np.testing.assert_array_equal(data.F, np.zeros(pqp.H.shape[0]))
         np.testing.assert_array_equal(data.B, pqp.b0)
 
     def test_scalar_state_shifts_linear_term(self):
@@ -153,7 +150,7 @@ class TestMpcStep:
 
     def test_factor_modes_agree(self, demo):
         _, pqp, xi0 = demo
-        u_plain, _ = pf.mpc_step(pqp, xi0, pf.FlowParams(mode="plain"),
+        u_plain, _ = pf.mpc_step(pqp, xi0, pf.FlowParams(q=1),
                                  pf.DEMO_STOP, pf.IntegratorConfig())
         u_trunc, _ = pf.mpc_step(pqp, xi0, pf.FlowParams(),
                                  pf.DEMO_STOP, pf.IntegratorConfig())
