@@ -18,7 +18,8 @@ from .problem import (GradCheckReport, PenaltyConfig, Problem,
                       check_gradients, eval_g, eval_penalty,
                       eval_weighted_cost, eval_weighted_grad)
 from .flow import (FlowParams, FlowState, GammaBoundInputs, exp_factor,
-                   fbar_dot_identity, flow_rhs, gamma_bound, series_factor)
+                   fbar_dot_identity, flow_jacobian, flow_rhs, gamma_bound,
+                   series_factor)
 from .integrator import (IntegratorConfig, SolveResult, StopCriteria,
                          integrate, save_trajectory, solve)
 from .kkt import KktReport, extract_multipliers, kkt_residuals

@@ -20,7 +20,7 @@ from .flow import MODES, FlowParams, FlowState
 from .integrator import IntegratorConfig, StopCriteria, solve, save_trajectory
 from .mpc import DEMO_STOP, condense, double_integrator_demo, Plant, \
     simulate_closed_loop
-from .problem import PenaltyConfig, check_gradients
+from .problem import check_gradients
 from .qp import (ORACLE_NC_MAX, generate_random_qp, qp_problem,
                  run_benchmark)
 
@@ -55,13 +55,22 @@ def _add_common(p):
     p.add_argument("--report", default=None, help="report CSV path")
 
 
+class _BadFlag(Exception):
+    """A flag value that a configuration dataclass rejects."""
+
+
 def _override(base, args):
     """``base`` with every field that has a non-None parsed flag of the
-    same name replaced by that flag's value."""
+    same name replaced by that flag's value. A value the dataclass
+    rejects raises _BadFlag, which ``main`` maps to the parse-error
+    code."""
     given = {f.name: getattr(args, f.name)
              for f in dataclasses.fields(base)
              if getattr(args, f.name) is not None}
-    return dataclasses.replace(base, **given)
+    try:
+        return dataclasses.replace(base, **given)
+    except ValueError as e:
+        raise _BadFlag(str(e)) from None
 
 
 def _emit(args, text):
@@ -183,7 +192,7 @@ def cmd_minlp(args) -> int:
 
 
 def cmd_check_grads(args) -> int:
-    cfg = PenaltyConfig(m=args.m if args.m is not None else 2)
+    cfg = _override(FlowParams(), args).cfg
     if args.kind == "qp":
         data = fileio.load_qp(args.input) if args.input else \
             generate_random_qp(args.n, args.nc, args.seed)[0]
@@ -263,7 +272,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else EXIT_OK
     try:
         return args.fn(args)
-    except FileFormatError as e:
+    except (FileFormatError, _BadFlag) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except PenaltyFlowError as e:

@@ -1,7 +1,7 @@
-"""Right-hand sides of the coupled (x, rho) flows and the related
-diagnostics: the truncated-series and exponential scaling factors, the
-gamma smallness bound, and the dfbar/dt identity used as a runtime
-property check.
+"""Right-hand sides of the coupled (x, rho) flows, their exact Jacobian,
+and the related diagnostics: the truncated-series and exponential
+scaling factors, the gamma smallness bound, and the dfbar/dt identity
+used as a runtime property check.
 
 Both flows share the structure
 
@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorOverflowError
-from .problem import (PenaltyConfig, eval_penalty, eval_weighted_grad)
+from .errors import EvaluationError, FactorOverflowError
+from .problem import (PenaltyConfig, _finite, _norm, _penalty,
+                      _weighted_grad, eval_penalty, eval_weighted_grad,
+                      evaluate, penalty_weights)
 
 __all__ = [
     "FlowParams", "FlowState", "GammaBoundInputs", "series_factor",
-    "exp_factor", "flow_rhs", "gamma_bound", "fbar_dot_identity",
+    "exp_factor", "flow_rhs", "flow_jacobian", "gamma_bound",
+    "fbar_dot_identity",
 ]
 
 MODES = ("truncated", "exponential")
@@ -135,19 +138,72 @@ def _factor(g, params: FlowParams) -> float:
     return series_factor(g, params.lam, params.q)
 
 
+def _factor_slope(g, params: FlowParams) -> float:
+    """d factor / d g: lam * series_{q-1}(lam g), 0 for q = 1, and
+    lam * exp(lam g) in the exponential mode."""
+    if params.mode == "exponential":
+        return params.lam * exp_factor(g, params.lam)
+    if params.q == 1:
+        return 0.0
+    return params.lam * series_factor(g, params.lam, params.q - 1)
+
+
 def flow_rhs(problem, state: FlowState, params: FlowParams):
     """Evaluate the flow right-hand side at ``state``.
 
     Returns (dx, drho) with dx = -factor * fbar_x and drho = gamma * psi.
     dx is antiparallel to fbar_x whenever the gradient is nonzero (the
-    factor is always positive), and drho >= 0 always.
+    factor is always positive), and drho >= 0 always. Each of f_x, c and
+    c_x is evaluated once.
     """
-    cfg = params.cfg
-    fbar_x = eval_weighted_grad(problem, state.x, state.rho, cfg)
-    g = float(np.linalg.norm(fbar_x))
+    grad, cvals, jac = evaluate(problem, state.x)
+    fbar_x = _weighted_grad(grad, cvals, jac, state.rho, params.m)
+    factor = _factor(_norm(fbar_x), params)
+    return -factor * fbar_x, params.gamma * _penalty(cvals, params.m)
+
+
+def flow_jacobian(problem, state: FlowState, params: FlowParams):
+    """Exact Jacobian of the packed flow y = [x, rho] -> [dx, drho].
+
+    Needs ``problem.hess``. With G = fbar_x, A = c_x, w the penalty
+    weights, v = m A' max(0, c)^(m-1) = dG/drho and the x-Hessian of the
+    weighted cost
+
+        K = hess(x, w) + rho m (m-1) A' diag(max(0, c)^(m-2)) A
+
+    (for m = 2 the diagonal is the indicator c_i > 0, for m = 1 the term
+    is absent), the blocks are
+
+        J_xx     = -factor K - (factor' / g) G (K'G)'
+        J_xrho   = -factor v - (factor' / g) (G'v) G
+        J_rhox   = gamma v'
+        J_rhorho = 0
+
+    and the rank-one terms vanish at g = 0. Returns an (n+1, n+1) array.
+    """
+    m, rho, n = params.m, state.rho, problem.n
+    grad, cvals, jac = evaluate(problem, state.x)
+    w = penalty_weights(cvals, rho, m)
+    G = grad + w @ jac
+    K = np.asarray(problem.hess(state.x, w), dtype=float)
+    if not _finite(K):
+        raise EvaluationError(None, "Hessian")
+    if m > 1:
+        # rho m (m-1) max(0, c)^(m-2), with the m = 2 indicator
+        K = K + (jac.T * (m * penalty_weights(cvals, rho, m - 1))) @ jac
+    v = penalty_weights(cvals, 1.0, m) @ jac
+    g = _norm(G)
     factor = _factor(g, params)
-    psi = eval_penalty(problem, state.x, cfg)
-    return -factor * fbar_x, params.gamma * psi
+
+    J = np.zeros((n + 1, n + 1))
+    J[:n, :n] = -factor * K
+    J[:n, n] = -factor * v
+    if g > 0.0:
+        s = _factor_slope(g, params) / g
+        J[:n, :n] -= np.outer(s * G, G @ K)
+        J[:n, n] -= (s * float(G @ v)) * G
+    J[n, :n] = params.gamma * v
+    return J
 
 
 def gamma_bound(lam: float, inputs: GammaBoundInputs) -> float:

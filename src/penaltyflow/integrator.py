@@ -5,9 +5,12 @@ The flow is stepped by scipy's BDF, a variable-order implicit multistep
 method, driven one accepted step at a time. The penalty Hessian scale
 grows like rho along the flow, so reaching the asymptotic regime (psi
 below 1e-8 at gamma = 1e-6 means flow times beyond 1e15) is only
-practical for a stiff method whose steps grow geometrically. If the
-stepper stalls it is rebuilt from the last accepted state; rebuilds that
-make no forward progress terminate the run.
+practical for a stiff method whose steps grow geometrically. When the
+problem has a Hessian hook the stepper gets the exact flow Jacobian;
+otherwise it estimates the Jacobian by finite differences of the
+right-hand side. If the stepper stalls it is rebuilt from the last
+accepted state; rebuilds that make no forward progress terminate the
+run.
 
 The integrand state is packed as y = [x_0 .. x_{n-1}, rho].
 """
@@ -20,9 +23,9 @@ import numpy as np
 from scipy.integrate import BDF
 
 from .errors import EvaluationError, FactorOverflowError
-from .flow import FlowParams, FlowState, flow_rhs
+from .flow import FlowParams, FlowState, flow_jacobian, flow_rhs
 from .kkt import KktReport, extract_multipliers, kkt_residuals
-from .problem import Problem, eval_g, eval_penalty
+from .problem import Problem, measure_state
 from .fileio import atomic_write_text, fmt
 
 __all__ = [
@@ -148,13 +151,8 @@ class _Recorder:
 
     def measure(self, t, y):
         x, rho = y[:-1], float(y[-1])
-        psi = eval_penalty(self.problem, x, self.cfg)
-        g = eval_g(self.problem, x, rho, self.cfg)
-        f = float(self.problem.f(x))
-        if not math.isfinite(f):
-            raise EvaluationError(None)
-        fbar = f + rho * psi
-        return x, rho, psi, g, f, fbar
+        psi, g, f = measure_state(self.problem, x, rho, self.cfg)
+        return x, rho, psi, g, f, f + rho * psi
 
     def record(self, t, x, rho, psi, g, f, fbar, force=False):
         # force bypasses the stride, never the one-row-per-step guard
@@ -184,24 +182,35 @@ class _Recorder:
         self.fbar_prev = fbar
 
 
-def _make_rhs(problem, params):
-    """Flow RHS over packed y. An evaluator failure sets a flag and
-    poisons the output with NaN, so the stepper fails softly; once the
-    flag is set every later call returns NaN."""
+def _guarded(problem, params):
+    """Flow RHS and, when the problem has a Hessian hook, the exact flow
+    Jacobian over packed y, sharing one failure flag. An evaluator
+    failure in either sets the flag and poisons the output with NaN, so
+    the stepper fails softly; once the flag is set every later call of
+    either returns NaN. Returns (rhs, jac or None, failure)."""
     failure = {"exc": None}
+    k = problem.n + 1
 
-    def rhs(t, y):
-        if failure["exc"] is not None:
-            return np.full(y.size, np.nan)
-        try:
-            state = FlowState(x=y[:-1], rho=float(y[-1]), t=t)
-            dx, drho = flow_rhs(problem, state, params)
-        except (EvaluationError, FactorOverflowError) as exc:
-            failure["exc"] = exc
-            return np.full(y.size, np.nan)
+    def guard(fn, shape):
+        def call(t, y):
+            if failure["exc"] is None:
+                try:
+                    return fn(FlowState(x=y[:-1], rho=float(y[-1]), t=t))
+                except (EvaluationError, FactorOverflowError) as exc:
+                    failure["exc"] = exc
+            return np.full(shape, np.nan)
+        return call
+
+    def rhs(state):
+        dx, drho = flow_rhs(problem, state, params)
         return np.concatenate([dx, [drho]])
 
-    return rhs, failure
+    def jac(state):
+        return flow_jacobian(problem, state, params)
+
+    if problem.hess is None:
+        return guard(rhs, k), None, failure
+    return guard(rhs, k), guard(jac, (k, k)), failure
 
 
 def integrate(problem: Problem, params: FlowParams, state0: FlowState,
@@ -221,7 +230,7 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
     t = float(state0.t)
 
     rec = _Recorder(problem, params, config)
-    rhs, failure = _make_rhs(problem, params)
+    rhs, jac, failure = _guarded(problem, params)
 
     # initial sample and immediate convergence check
     try:
@@ -241,7 +250,7 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
     restarts = 0
     t_anchor = t
     while status is None:
-        stepper = BDF(rhs, t, y, t_bound=stop.t_max,
+        stepper = BDF(rhs, t, y, t_bound=stop.t_max, jac=jac,
                       rtol=config.rtol, atol=config.atol,
                       max_step=config.h_max, first_step=config.h_init)
         while status is None and stepper.status == "running":
@@ -290,7 +299,7 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
             status = "rhs_failure"
         t_anchor = t
 
-    x, rho, psi, g, f, fbar = rec.measure(t, y)
+    # (x, rho, psi, g, f, fbar) still hold the measurement of (t, y)
     rec.record(t, x, rho, psi, g, f, fbar, force=True)
     return SolveResult(
         status=status, x=x.copy(), rho=rho, t=t, psi=psi, g=g, f=f,

@@ -37,7 +37,8 @@ DEMO_STOP = StopCriteria(eps_psi=1e-13, eps_g=1e-4, t_max=1e28,
 
 @dataclass(frozen=True)
 class Plant:
-    """Discrete-time LTI plant xi_{k+1} = A_d xi_k + B_d u_k."""
+    """Discrete-time LTI plant xi_{k+1} = A_d xi_k + B_d u_k, with finite
+    entries."""
 
     A_d: np.ndarray
     B_d: np.ndarray
@@ -50,6 +51,9 @@ class Plant:
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError(f"B_d has shape {B.shape}, expected "
                              f"({A.shape[0]}, n_u)")
+        for name, arr in (("A_d", A), ("B_d", B)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
         object.__setattr__(self, "A_d", A)
         object.__setattr__(self, "B_d", B)
 

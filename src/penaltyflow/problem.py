@@ -7,7 +7,9 @@ as c_i(x) <= 0. Builders that accept other forms (Ax <= B, bounds) must
 convert at construction time.
 """
 
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -15,7 +17,8 @@ from .errors import EvaluationError
 
 __all__ = [
     "Problem", "PenaltyConfig", "eval_penalty", "eval_weighted_cost",
-    "eval_weighted_grad", "eval_g", "check_gradients", "GradCheckReport",
+    "eval_weighted_grad", "eval_g", "evaluate", "measure_state",
+    "check_gradients", "GradCheckReport",
 ]
 
 
@@ -34,6 +37,12 @@ class Problem:
     c, c_x : callable
         Constraint values and Jacobian, c(x) -> (n_c,), c_x(x) -> (n_c, n).
         For n_c = 0 both must return empty arrays of the right shape.
+    hess : callable, optional
+        Hessian of the Lagrangian, hess(x, w) -> (n, n), the matrix
+        nabla^2 f(x) + sum_i w_i nabla^2 c_i(x) for weights w of length
+        n_c. When given, the integrator steps with the exact Jacobian of
+        the flow; without it the stepper estimates the Jacobian by finite
+        differences of the right-hand side.
 
     Evaluators must be total on R^n (finite output for finite input) and
     are treated as read-only; nothing here mutates the problem.
@@ -45,6 +54,7 @@ class Problem:
     f_x: callable
     c: callable
     c_x: callable
+    hess: Optional[callable] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -66,6 +76,13 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("penalty exponent m must be >= 1")
+
+
+def _finite(arr) -> bool:
+    """True when every entry of ``arr`` is finite. One reduction on the
+    common path; a sum that overflows from finite entries falls back to
+    the entrywise test."""
+    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
 
 
 def _check_constraints(cvals):
@@ -101,13 +118,58 @@ def penalty_weights(cvals, rho, m):
     return (rho * m) * cp ** (m - 1)
 
 
+def _penalty(cvals, m) -> float:
+    return float((np.maximum(cvals, 0.0) ** m).sum())
+
+
+def _norm(v) -> float:
+    # what np.linalg.norm computes for a 1-D float vector, without its
+    # dispatch overhead
+    return math.sqrt(v.dot(v))
+
+
+def _weighted_grad(grad, cvals, jac, rho, m):
+    return grad + penalty_weights(cvals, rho, m) @ jac
+
+
+def evaluate(problem: Problem, x):
+    """(f_x, c, c_x) at x: one call of each evaluator, all finite.
+
+    A non-finite gradient raises EvaluationError(None); a non-finite
+    constraint value or constraint-Jacobian row raises EvaluationError
+    naming the first such constraint. For n_c = 0, c and c_x are not
+    called and come back empty.
+    """
+    grad = np.asarray(problem.f_x(x), dtype=float)
+    if not _finite(grad):
+        raise EvaluationError(None)
+    if problem.n_c == 0:
+        return grad, np.zeros(0), np.zeros((0, problem.n))
+    cvals = np.asarray(problem.c(x), dtype=float)
+    if not _finite(cvals):
+        _check_constraints(cvals)
+    jac = np.asarray(problem.c_x(x), dtype=float)
+    if not _finite(jac):
+        rows = np.isfinite(jac).all(axis=1)
+        raise EvaluationError(int(np.flatnonzero(~rows)[0]),
+                              "constraint Jacobian")
+    return grad, cvals, jac
+
+
+def measure_state(problem: Problem, x, rho: float, cfg: PenaltyConfig):
+    """(psi, g, f) at (x, rho) from one evaluation of f, f_x, c and c_x;
+    the same values as eval_penalty, eval_g and f separately."""
+    grad, cvals, jac = evaluate(problem, x)
+    f = float(_check_objective(problem.f(x)))
+    g = _norm(_weighted_grad(grad, cvals, jac, rho, cfg.m))
+    return _penalty(cvals, cfg.m), g, f
+
+
 def eval_penalty(problem: Problem, x, cfg: PenaltyConfig) -> float:
     """psi(x) = sum_i max(0, c_i(x))^m; zero iff x is feasible."""
     if problem.n_c == 0:
         return 0.0
-    cvals = _check_constraints(problem.c(x))
-    cp = np.maximum(cvals, 0.0)
-    return float(np.sum(cp ** cfg.m))
+    return _penalty(_check_constraints(problem.c(x)), cfg.m)
 
 
 def eval_weighted_cost(problem: Problem, x, rho: float,
@@ -125,31 +187,29 @@ def eval_weighted_grad(problem: Problem, x, rho: float, cfg: PenaltyConfig):
     Constraints with c_i(x) < 0 contribute nothing. For m = 1 the value
     on a constraint boundary uses the feasible-side limit (weight 0).
     """
-    grad = _check_objective(problem.f_x(x))
-    if problem.n_c == 0:
-        return np.asarray(grad, dtype=float).copy()
-    cvals = _check_constraints(problem.c(x))
-    w = penalty_weights(cvals, rho, cfg.m)
-    jac = np.asarray(problem.c_x(x), dtype=float)
-    return grad + w @ jac
+    grad, cvals, jac = evaluate(problem, x)
+    return _weighted_grad(grad, cvals, jac, rho, cfg.m)
 
 
 def eval_g(problem: Problem, x, rho: float, cfg: PenaltyConfig) -> float:
     """Euclidean norm of the weighted-cost gradient."""
-    return float(np.linalg.norm(eval_weighted_grad(problem, x, rho, cfg)))
+    return _norm(eval_weighted_grad(problem, x, rho, cfg))
 
 
 @dataclass(frozen=True)
 class GradCheckReport:
     """Worst relative deviations between analytic and central-difference
-    gradients; relative error is ||a - fd|| / max(1, ||fd||)."""
+    derivatives; relative error is ||a - fd|| / max(1, ||fd||).
+    hess_error is 0 for a problem without a Hessian hook."""
 
     f_x_error: float
     c_x_error: float
+    hess_error: float = 0.0
     worst: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "worst", max(self.f_x_error, self.c_x_error))
+        object.__setattr__(self, "worst", max(
+            self.f_x_error, self.c_x_error, self.hess_error))
 
 
 def _central_diff(fun, x, step):
@@ -163,27 +223,40 @@ def _central_diff(fun, x, step):
     return np.stack(cols, axis=-1)
 
 
+def _rel_error(analytic, fd) -> float:
+    return float(np.linalg.norm(np.asarray(analytic, dtype=float) - fd)
+                 / max(1.0, float(np.linalg.norm(fd))))
+
+
 def check_gradients(problem: Problem, x, step: float,
                     cfg: PenaltyConfig) -> GradCheckReport:
-    """Compare f_x and the constraint Jacobian against central differences.
+    """Compare f_x, the constraint Jacobian and, when the problem has
+    one, the Hessian hook against central differences.
 
-    Informational only; never raises on a bad gradient, the report is the
-    diagnostic. ``step`` must be positive.
+    The Hessian is checked as hess(x, w) against the differences of
+    f_x + w'c_x, with the fixed distinct weights w_i = 1 + i / n_c so
+    that every constraint's curvature counts. Informational only; never
+    raises on a bad derivative, the report is the diagnostic. ``step``
+    must be positive.
     """
     if step <= 0.0:
         raise ValueError("step must be > 0")
     x = np.asarray(x, dtype=float)
 
-    fd_f = _central_diff(problem.f, x, step)
-    an_f = np.asarray(problem.f_x(x), dtype=float)
-    err_f = float(np.linalg.norm(an_f - fd_f)
-                  / max(1.0, float(np.linalg.norm(fd_f))))
+    err_f = _rel_error(problem.f_x(x), _central_diff(problem.f, x, step))
+    err_c = 0.0
+    if problem.n_c:
+        err_c = _rel_error(problem.c_x(x),
+                           _central_diff(problem.c, x, step))
+    err_h = 0.0
+    if problem.hess is not None:
+        w = 1.0 + np.arange(problem.n_c) / max(1, problem.n_c)
 
-    if problem.n_c == 0:
-        err_c = 0.0
-    else:
-        fd_c = _central_diff(problem.c, x, step)
-        an_c = np.asarray(problem.c_x(x), dtype=float)
-        err_c = float(np.linalg.norm(an_c - fd_c)
-                      / max(1.0, float(np.linalg.norm(fd_c))))
-    return GradCheckReport(f_x_error=err_f, c_x_error=err_c)
+        def lagrangian_grad(z):
+            return (np.asarray(problem.f_x(z), dtype=float)
+                    + w @ np.asarray(problem.c_x(z), dtype=float))
+
+        err_h = _rel_error(problem.hess(x, w),
+                           _central_diff(lagrangian_grad, x, step))
+    return GradCheckReport(f_x_error=err_f, c_x_error=err_c,
+                           hess_error=err_h)

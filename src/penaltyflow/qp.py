@@ -40,7 +40,7 @@ _FEAS_TOL = 1e-9
 @dataclass(frozen=True)
 class QpData:
     """QP matrices. H is symmetrized at construction; A is n_c x n with
-    one row per constraint A_i x <= B_i."""
+    one row per constraint A_i x <= B_i. Every entry must be finite."""
 
     H: np.ndarray
     F: np.ndarray
@@ -60,6 +60,9 @@ class QpData:
             raise ValueError(f"A has shape {A.shape}, expected (n_c, {n})")
         if B.shape != (A.shape[0],):
             raise ValueError(f"B has shape {B.shape}, expected ({A.shape[0]},)")
+        for name, arr in (("H", H), ("F", F), ("A", A), ("B", B)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "A", A)
@@ -75,8 +78,9 @@ class QpData:
 
 
 def qp_problem(data: QpData, cfg: PenaltyConfig = PenaltyConfig()) -> Problem:
-    """Wrap QpData as a Problem with analytic gradients:
-    f = (1/2) x'Hx + F'x, c = Ax - B."""
+    """Wrap QpData as a Problem with analytic derivatives:
+    f = (1/2) x'Hx + F'x, c = Ax - B, and the Lagrangian Hessian H
+    (the constraints are linear)."""
     H, F, A, B = data.H, data.F, data.A, data.B
 
     def f(x):
@@ -92,7 +96,11 @@ def qp_problem(data: QpData, cfg: PenaltyConfig = PenaltyConfig()) -> Problem:
     def c_x(x):
         return A
 
-    return Problem(n=data.n, n_c=data.n_c, f=f, f_x=f_x, c=c, c_x=c_x)
+    def hess(x, w):
+        return H
+
+    return Problem(n=data.n, n_c=data.n_c, f=f, f_x=f_x, c=c, c_x=c_x,
+                   hess=hess)
 
 
 def generate_random_qp(n: int, n_c: int, seed: int):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import penaltyflow as pf
-from penaltyflow.flow import exp_factor, fbar_dot_identity, series_factor
+from penaltyflow.flow import (exp_factor, fbar_dot_identity, flow_jacobian,
+                              flow_rhs, series_factor)
 from penaltyflow.problem import PenaltyConfig, check_gradients
 
 BENCH_COUNT = 50
@@ -160,6 +161,80 @@ def test_criterion_4_gradient_suite():
     _report(4, ok,
             f"{points} off-boundary points over {len(problems)} problems, "
             f"worst relative deviation {worst:.2e}")
+
+
+def _curved_problem():
+    """f = (1/2)x'Hx + F'x + (1/4) sum x_i^4 under the disk |x|^2 <= 1 and
+    one half-plane, with the exact Lagrangian Hessian."""
+    data, _ = pf.generate_random_qp(3, 1, seed=5)
+    H, F, a, b = data.H, data.F, data.A[0], data.B[0]
+    return pf.Problem(
+        n=3, n_c=2,
+        f=lambda x: 0.5 * x @ H @ x + F @ x + 0.25 * np.sum(x ** 4),
+        f_x=lambda x: H @ x + F + x ** 3,
+        c=lambda x: np.array([x @ x - 1.0, a @ x - b]),
+        c_x=lambda x: np.vstack([2.0 * x, a]),
+        hess=lambda x, w: H + np.diag(3.0 * x ** 2) + 2.0 * w[0] * np.eye(3))
+
+
+def _central_flow_jacobian(problem, state, params, step=1e-6):
+    y = np.append(state.x, state.rho)
+    cols = []
+    for j in range(y.size):
+        h = step * max(1.0, abs(y[j]))
+        out = []
+        for sign in (1.0, -1.0):
+            z = y.copy()
+            z[j] += sign * h
+            dx, drho = flow_rhs(problem, pf.FlowState(x=z[:-1], rho=z[-1]),
+                                params)
+            out.append(np.append(dx, drho))
+        cols.append((out[0] - out[1]) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def test_flow_jacobian_matches_central_differences():
+    """The exact (x, rho) Jacobian against central differences of
+    flow_rhs, for both modes, q in {1, 2, 4} and m in {1, 2, 3}, at
+    off-boundary states with active and inactive constraints and at
+    states where g = 0."""
+    rng = np.random.default_rng(3)
+    problems = [pf.qp_problem(pf.generate_random_qp(4, 5, seed=1)[0]),
+                _curved_problem()]
+    # g = 0 with an active constraint: the halfspace problem at the origin
+    zero_g = pf.qp_problem(pf.QpData(H=np.eye(2), F=np.zeros(2),
+                                     A=np.array([[-1.0, 0.0]]),
+                                     B=np.array([-1.0])))
+    worst, checked, active, inactive = 0.0, 0, 0, 0
+    for m in (1, 2, 3):
+        for mode in ("truncated", "exponential"):
+            for q in (1, 2, 4):
+                params = pf.FlowParams(lam=0.05, gamma=0.5, q=q, mode=mode,
+                                       m=m)
+                cases = [(zero_g, pf.FlowState(x=np.zeros(2), rho=0.0))]
+                for prob in problems:
+                    taken = 0
+                    while taken < 3:
+                        x = 1.2 * rng.standard_normal(prob.n)
+                        cvals = prob.c(x)
+                        if np.min(np.abs(cvals)) <= 1e-2:
+                            continue
+                        active += int(np.any(cvals > 0.0))
+                        inactive += int(np.any(cvals < 0.0))
+                        cases.append((prob, pf.FlowState(
+                            x=x, rho=float(rng.uniform(0.0, 3.0)))))
+                        taken += 1
+                for prob, state in cases:
+                    exact = flow_jacobian(prob, state, params)
+                    fd = _central_flow_jacobian(prob, state, params)
+                    worst = max(worst, float(np.abs(exact - fd).max())
+                                / max(1.0, float(np.abs(fd).max())))
+                    checked += 1
+    ok = worst <= 1e-6 and active > 0 and inactive > 0
+    print(f"{'PASS' if ok else 'FAIL'} flow Jacobian: {checked} states "
+          f"({active} with an active, {inactive} with an inactive "
+          f"constraint), worst relative deviation {worst:.2e}")
+    assert ok
 
 
 def test_criterion_5_oracle_equivalence(bench_report):

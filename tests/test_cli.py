@@ -202,6 +202,14 @@ class TestParser:
                       ["--mode", "plain"]):
             assert main(["solve-qp", qp, *flags]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("flags", [["--rtol", "0"], ["--q", "0"],
+                                       ["--h-init", "0"]])
+    def test_rejected_config_value(self, tmp_path, capsys, flags):
+        # parsed fine, refused by the config dataclass: still exit 2
+        assert main(["solve-qp", _descent_qp(tmp_path), *flags]) \
+            == EXIT_PARSE
+        assert "error:" in capsys.readouterr().err
+
 
 def _mpc_doc(**fields):
     doc = {"plant": {"n_xi": 1, "n_u": 1, "A_d": [1.0], "B_d": [1.0]},

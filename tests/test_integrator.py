@@ -47,6 +47,22 @@ def _fails_past_half(exc, field="f_x"):
                    c_x=lambda x: np.array([[-1.0, 0.0]]), **evaluators)
 
 
+def _hess_fails_past_half(bad):
+    # min |x|^2/2 s.t. x0 >= 1 with a Hessian hook that, once x0 > 0.5,
+    # raises (bad is an exception) or returns NaN (bad is None)
+    def hess(x, w):
+        if x[0] > 0.5:
+            if bad is not None:
+                raise bad
+            return np.full((2, 2), np.nan)
+        return np.eye(2)
+
+    return Problem(n=2, n_c=1, f=lambda x: 0.5 * float(x @ x),
+                   f_x=lambda x: np.asarray(x, dtype=float),
+                   c=lambda x: np.array([1.0 - x[0]]),
+                   c_x=lambda x: np.array([[-1.0, 0.0]]), hess=hess)
+
+
 class TestIntegrate:
     def test_unconstrained_rho_stays_zero(self):
         res = pf.integrate(_unconstrained_quad(), pf.FlowParams(),
@@ -120,6 +136,18 @@ class TestIntegrate:
             assert res.status == "rhs_failure"
             assert any("rhs failure" in w for w in res.warnings)
             assert res.x[0] <= 0.5 and math.isfinite(res.f)
+
+    @pytest.mark.parametrize("bad", [EvaluationError(None), None],
+                             ids=["raises", "nan"])
+    def test_midrun_hessian_failure(self, bad):
+        # the exact Jacobian runs under the RHS failure flag: a failing
+        # Hessian hook ends the run as rhs_failure, not in a traceback
+        res = pf.integrate(_hess_fails_past_half(bad), pf.FlowParams(),
+                           pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
+                           pf.IntegratorConfig())
+        assert res.status == "rhs_failure"
+        assert any("rhs failure" in w for w in res.warnings)
+        assert res.x[0] <= 1.0 and math.isfinite(res.f)
 
     def test_evaluator_bug_propagates(self):
         # a fault in user code is not a solver outcome: it must not be

@@ -42,6 +42,15 @@ class TestPlant:
             pf.Plant(A_d=np.eye(2), B_d=np.zeros((3, 1)))
 
 
+    @pytest.mark.parametrize("field", ["A_d", "B_d"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_entries_rejected(self, field, value):
+        parts = {"A_d": np.eye(2), "B_d": np.ones((2, 1))}
+        parts[field][1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            pf.Plant(**parts)
+
+
 class TestCondense:
     def test_one_step_scalar_plant(self):
         pqp = _scalar_pqp(u_max=10.0)
@@ -201,6 +210,17 @@ class TestSimulateClosedLoop:
         warm_final = (plant.A_d @ demo_trace.xi[-1]
                       + plant.B_d @ demo_trace.u[-1])
         assert np.linalg.norm(xi - warm_final) <= 1e-2
+
+    @pytest.mark.parametrize("xi0", [(0.3, 0.2), (-1.5, 0.3)])
+    def test_off_axis_episodes_start_cleanly(self, demo, xi0):
+        # the first steps from these states used to stall the stepper
+        # (rhs_failure at step 1 and step 2 respectively)
+        plant, pqp, _ = demo
+        trace = pf.simulate_closed_loop(plant, pqp, np.array(xi0), 3,
+                                        pf.FlowParams(), pf.DEMO_STOP,
+                                        pf.IntegratorConfig())
+        assert trace.statuses == ["converged"] * 3
+        assert float(np.abs(trace.u).max()) <= 0.5 + 1e-6
 
     def test_steps_validated(self, demo):
         plant, pqp, xi0 = demo

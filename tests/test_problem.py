@@ -144,6 +144,17 @@ class TestEvalWeightedGrad:
                                               rho, M2)) / (2.0 * step)
             np.testing.assert_allclose(an, fd, rtol=1e-5, atol=1e-8)
 
+    def test_nonfinite_constraint_jacobian_raises_with_index(self):
+        # checked even where the constraint is inactive (weight 0)
+        prob = Problem(
+            n=2, n_c=2,
+            f=lambda x: 0.0, f_x=lambda x: np.zeros(2),
+            c=lambda x: np.array([-1.0, -1.0]),
+            c_x=lambda x: np.array([[1.0, 0.0], [0.0, np.inf]]))
+        with pytest.raises(EvaluationError) as exc:
+            eval_weighted_grad(prob, np.zeros(2), 1.0, M2)
+        assert exc.value.index == 1
+
     def test_inactive_constraints_contribute_nothing(self, halfspace_problem):
         x = np.array([2.0, 0.5])
         grad = eval_weighted_grad(halfspace_problem, x, 1e8, M2)
@@ -215,3 +226,32 @@ class TestCheckGradients:
     def test_report_worst_is_max_of_fields(self):
         rep = check_gradients(_quad(2), np.ones(2), 1e-6, M2)
         assert rep.worst == max(rep.f_x_error, rep.c_x_error)
+
+    def test_qp_hessian_hook_exact(self):
+        data, _ = generate_random_qp(5, 4, 2)
+        rep = check_gradients(qp_problem(data, M2),
+                              np.random.default_rng(1).standard_normal(5),
+                              1e-6, M2)
+        assert rep.hess_error <= 1e-7
+
+    def test_no_hessian_hook_reads_zero(self):
+        rep = check_gradients(_scalar_boundary(), np.array([0.3]), 1e-6, M2)
+        assert rep.hess_error == 0.0
+
+    def test_wrong_hessian_is_flagged(self):
+        # c = |x|^2 - 1 has Hessian 2I; a hook that drops the constraint
+        # term (returns the objective Hessian only) must show up
+        def prob(hess):
+            return Problem(
+                n=2, n_c=1,
+                f=lambda x: 0.5 * float(np.dot(x, x)),
+                f_x=lambda x: np.asarray(x, dtype=float),
+                c=lambda x: np.array([float(np.dot(x, x)) - 1.0]),
+                c_x=lambda x: 2.0 * np.asarray(x, dtype=float)[None, :],
+                hess=hess)
+        x = np.array([0.4, -0.7])
+        good = check_gradients(prob(lambda x, w: (1.0 + 2.0 * w[0])
+                                    * np.eye(2)), x, 1e-6, M2)
+        bad = check_gradients(prob(lambda x, w: np.eye(2)), x, 1e-6, M2)
+        assert good.hess_error <= 1e-7
+        assert bad.hess_error >= 0.5 and bad.worst == bad.hess_error

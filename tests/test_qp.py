@@ -36,6 +36,17 @@ class TestQpData:
                       A=np.zeros((1, 2)), B=np.zeros(2))
 
 
+    @pytest.mark.parametrize("field", ["H", "F", "A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, halfspace_data, field,
+                                         value):
+        parts = {k: np.array(getattr(halfspace_data, k), dtype=float)
+                 for k in ("H", "F", "A", "B")}
+        parts[field].flat[0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            pf.QpData(**parts)
+
+
 class TestGenerateRandomQp:
     def test_seed_determinism(self):
         a, xa = pf.generate_random_qp(5, 4, seed=7)
