@@ -31,7 +31,8 @@ from .mpc import (DEMO_STOP, ClosedLoopTrace, ParametricQp, Plant, condense,
                   simulate_closed_loop)
 from .binary import (BinaryProblem, BinaryRunResult, DeflationRecord,
                      binarize, binary_quadratic, brute_force_oracle,
-                     deflate_cost, find_neighbor, solve_binary)
+                     bumped_cost, deflate_cost, find_neighbor,
+                     solve_binary)
 from .fileio import (load_binary_problem, load_mpc_scenario, load_qp,
                      save_qp)
 

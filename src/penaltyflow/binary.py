@@ -11,11 +11,12 @@ order n_psi = 2m = 4, so the flow for these problems uses q = 4.
 Successive local minima are visited by deflation: after a converged run
 lands near a vertex, a localized Gaussian bump is added to the cost at
 that vertex (sized against an admissible neighbor's value) and the flow
-is restarted from it with rho reset to 0.
+is restarted from it with rho reset to 0. The bumps are data next to the
+base objective: a (k, n) array of centres and a (k,) array of amplitudes.
 """
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from itertools import chain, combinations, product
 from typing import Optional
 
 import numpy as np
@@ -28,8 +29,8 @@ from .problem import Problem
 
 __all__ = [
     "BinaryProblem", "DeflationRecord", "BinaryRunResult",
-    "binary_quadratic", "binarize", "find_neighbor", "deflate_cost",
-    "solve_binary", "brute_force_oracle", "BINARY_Q",
+    "binary_quadratic", "binarize", "find_neighbor", "bumped_cost",
+    "deflate_cost", "solve_binary", "brute_force_oracle", "BINARY_Q",
 ]
 
 # growth order of the m = 2 penalty over the binarization constraints
@@ -61,8 +62,10 @@ class BinaryProblem:
             raise ValueError("n must be >= 1")
         if self.n_native < 0:
             raise ValueError("n_native must be >= 0")
-        if (self.n_native > 0) != (self.c_native is not None):
-            raise ValueError("c_native must be given iff n_native > 0")
+        if not ((self.n_native > 0) == (self.c_native is not None)
+                == (self.c_native_x is not None)):
+            raise ValueError("c_native and c_native_x must be given iff "
+                             "n_native > 0")
 
     def native_feasible(self, x, tol: float = _NATIVE_TOL) -> bool:
         if self.n_native == 0:
@@ -106,34 +109,27 @@ def binarize(bp: BinaryProblem, f=None, f_x=None) -> Problem:
     evaluators, which is how deflated costs enter; the constraints never
     change across deflation rounds.
     """
-    n = bp.n
-    fobj = f if f is not None else bp.f
-    fgrad = f_x if f_x is not None else bp.f_x
-    eye = np.eye(n)
+    n, k = bp.n, bp.n_native
+    # rows of the -x and x - 1 blocks never change; each call fills in
+    # the native rows and the diagonal of the x - x^2 block
+    jac_base = np.vstack([np.zeros((k + n, n)), -np.eye(n), np.eye(n)])
 
-    if bp.n_native:
-        def c(x):
-            x = np.asarray(x, dtype=float)
-            return np.concatenate([
-                np.asarray(bp.c_native(x), dtype=float),
-                x - x * x, -x, x - 1.0])
+    def c(x):
+        x = np.asarray(x, dtype=float)
+        native = bp.c_native(x) if k else ()
+        return np.concatenate([np.asarray(native, dtype=float),
+                               x - x * x, -x, x - 1.0])
 
-        def c_x(x):
-            x = np.asarray(x, dtype=float)
-            return np.vstack([
-                np.asarray(bp.c_native_x(x), dtype=float),
-                np.diag(1.0 - 2.0 * x), -eye, eye])
-    else:
-        def c(x):
-            x = np.asarray(x, dtype=float)
-            return np.concatenate([x - x * x, -x, x - 1.0])
+    def c_x(x):
+        x = np.asarray(x, dtype=float)
+        jac = jac_base.copy()
+        if k:
+            jac[:k] = bp.c_native_x(x)
+        np.fill_diagonal(jac[k:k + n], 1.0 - 2.0 * x)
+        return jac
 
-        def c_x(x):
-            x = np.asarray(x, dtype=float)
-            return np.vstack([np.diag(1.0 - 2.0 * x), -eye, eye])
-
-    return Problem(n=n, n_c=bp.n_native + 3 * n, f=fobj, f_x=fgrad,
-                   c=c, c_x=c_x)
+    return Problem(n=n, n_c=k + 3 * n, f=bp.f if f is None else f,
+                   f_x=bp.f_x if f_x is None else f_x, c=c, c_x=c_x)
 
 
 def find_neighbor(x_s, bp: BinaryProblem):
@@ -146,68 +142,80 @@ def find_neighbor(x_s, bp: BinaryProblem):
     deflation reproducible.
     """
     x_s = np.asarray(x_s, dtype=float)
-    n = x_s.size
-    for i in range(n):
+    bits = range(x_s.size)
+    for flip in chain(combinations(bits, 1), combinations(bits, 2)):
         z = x_s.copy()
-        z[i] = 1.0 - z[i]
-        if bp.native_feasible(z):
-            return z
-    for i, j in combinations(range(n), 2):
-        z = x_s.copy()
-        z[i] = 1.0 - z[i]
-        z[j] = 1.0 - z[j]
+        z[list(flip)] = 1.0 - z[list(flip)]
         if bp.native_feasible(z):
             return z
     return None
 
 
-def deflate_cost(f_s, f_s_grad, x_s, z_s, mu_defl: float):
-    """Add a localized bump at x_s sized against the neighbor z_s.
+def bumped_cost(bp: BinaryProblem, centres, amplitudes, mu_defl: float):
+    """Evaluators (f, f_x) of the deflated cost
 
-    Returns (f_new, f_new_grad, amplitude) with
+        f(x) = bp.f(x) + sum_j a_j * exp(-mu_defl * ||x - x_j||^2 / 4)
 
-        f_new(x) = f_s(x) + a * exp(-mu_defl * ||x - x_s||^2 / 4)
-        a = max(1 + 2 f_s(z_s), 1 + 2 |f_s(z_s)|)
-
-    The amplitude guard keeps a >= 1, so the bump always raises the
-    value at x_s by at least 1 while the value at z_s (distance >= 1)
-    moves by only a * exp(-mu_defl / 4). One bump need not lift f_new(x_s)
-    above f_s(z_s) when f_s(x_s) is much lower; the deflation loop then
-    lands on x_s again and stacks another bump.
+    with one bump per row x_j of the (k, n) array ``centres`` and its
+    amplitude a_j in the (k,) array ``amplitudes``. The bumps are added
+    one at a time in stacking order: a deflation run turns on the last
+    bit of these sums, and a vectorized sum over the bumps rounds
+    differently (it ends the knapsack run after 2 inner solves, not 4).
     """
     if mu_defl <= 0.0:
         raise ValueError("mu_defl must be > 0")
-    x_s = np.asarray(x_s, dtype=float).copy()
-    fz = float(f_s(z_s))
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    centres = np.asarray(centres, dtype=float).reshape(amplitudes.size, bp.n)
+    bumps = list(zip(centres, amplitudes))
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        value = float(bp.f(x))
+        for x_j, a_j in bumps:
+            d = x - x_j
+            value = value + a_j * np.exp(-mu_defl * float(d @ d) / 4.0)
+        return value
+
+    def f_x(x):
+        x = np.asarray(x, dtype=float)
+        grad = np.asarray(bp.f_x(x), dtype=float)
+        for x_j, a_j in bumps:
+            d = x - x_j
+            bump = a_j * np.exp(-mu_defl * float(d @ d) / 4.0)
+            grad = grad + bump * (-mu_defl / 2.0) * d
+        return grad
+
+    return f, f_x
+
+
+def deflate_cost(f, centres, amplitudes, x_s, z_s):
+    """Stack a bump at x_s sized against the neighbor z_s.
+
+    Returns ``centres`` and ``amplitudes`` with x_s and
+    a = max(1 + 2 f(z_s), 1 + 2 |f(z_s)|) appended, ``f`` being the cost
+    they give. The guard keeps a >= 1, so the bump raises the cost at x_s
+    by at least 1 while the cost at z_s (distance >= 1) moves by only
+    a * exp(-mu_defl / 4). Where x_s lies much lower than z_s one bump
+    does not lift it above z_s; the loop lands on x_s again and stacks
+    another bump.
+    """
+    fz = float(f(z_s))
     a = max(1.0 + 2.0 * fz, 1.0 + 2.0 * abs(fz))
-
-    def f_new(x):
-        d = np.asarray(x, dtype=float) - x_s
-        return float(f_s(x)) + a * np.exp(-mu_defl * float(d @ d) / 4.0)
-
-    def f_new_grad(x):
-        d = np.asarray(x, dtype=float) - x_s
-        bump = a * np.exp(-mu_defl * float(d @ d) / 4.0)
-        return (np.asarray(f_s_grad(x), dtype=float)
-                + bump * (-mu_defl / 2.0) * d)
-
-    return f_new, f_new_grad, a
+    return (np.vstack([centres, np.asarray(x_s, dtype=float)]),
+            np.append(amplitudes, a))
 
 
 @dataclass(frozen=True)
 class DeflationRecord:
     """One visited local minimum: visit index s, the rounded vertex x_s,
-    its admissible neighbor z_s (None when none exists), the modified
-    cost at x_s, the original cost, and the bump that was planted."""
+    its admissible neighbor z_s (None when none exists), its original
+    cost and native feasibility, and the status of the inner solve."""
 
     s: int
     x_s: np.ndarray
     z_s: Optional[np.ndarray]
-    f_s_value: float
     f_original: float
     native_feasible: bool
-    bump_strength: float
-    bump_amplitude: float
     status: str
 
 
@@ -251,9 +259,10 @@ def solve_binary(bp: BinaryProblem, params: Optional[FlowParams] = None,
     """Deflation loop over flow solves of the binarized problem.
 
     Starting point is (0.5, ..., 0.5) with rho = 0; each subsequent solve
-    restarts from the last vertex with rho reset to 0 and the bump
-    stacked onto the running cost. A converged solve is rounded to the
-    nearest vertex (threshold 0.5, ties to 1) and recorded if new.
+    restarts from the last vertex with rho reset to 0 and one more bump
+    of width ``mu_defl`` stacked onto the running cost. A converged solve
+    is rounded to the nearest vertex (threshold 0.5, ties to 1) and
+    recorded if new.
 
     A solve can land back on a vertex that already carries a bump; the
     vertex is then bumped again (amplitudes stack) and the loop goes on,
@@ -271,43 +280,33 @@ def solve_binary(bp: BinaryProblem, params: Optional[FlowParams] = None,
     if max_minima < 1:
         raise ValueError("max_minima must be >= 1")
 
-    cur_f, cur_g = bp.f, bp.f_x
+    centres, amplitudes = np.zeros((0, bp.n)), np.zeros(0)
+    f, f_x = bumped_cost(bp, centres, amplitudes, mu_defl)
     x_start = np.full(bp.n, 0.5)
     records = []
-    seen = []
     status = "max_minima"
     inner = 0
     while inner < max_minima:
-        problem = binarize(bp, f=cur_f, f_x=cur_g)
-        res = solve(problem, params, FlowState(x=x_start, rho=0.0),
-                    stop, config)
+        res = solve(binarize(bp, f, f_x), params,
+                    FlowState(x=x_start, rho=0.0), stop, config)
         inner += 1
         if res.status != "converged":
             status = f"inner_{res.status}"
             break
         x_vertex = np.where(res.x >= 0.5, 1.0, 0.0)
-        is_new = not any(np.array_equal(x_vertex, v) for v in seen)
         z = find_neighbor(x_vertex, bp)
-        f_s_here = float(cur_f(x_vertex))
-        if z is not None:
-            new_f, new_g, amplitude = deflate_cost(
-                cur_f, cur_g, x_vertex, z, mu_defl)
-        else:
-            new_f, new_g, amplitude = cur_f, cur_g, np.nan
-        if is_new:
-            seen.append(x_vertex)
+        if not any(np.array_equal(x_vertex, r.x_s) for r in records):
             records.append(DeflationRecord(
                 s=len(records), x_s=x_vertex, z_s=z,
-                f_s_value=f_s_here,
                 f_original=float(bp.f(x_vertex)),
                 native_feasible=bp.native_feasible(x_vertex),
-                bump_strength=mu_defl,
-                bump_amplitude=amplitude,
                 status=res.status))
         if z is None:
             status = "no_neighbor"
             break
-        cur_f, cur_g = new_f, new_g
+        centres, amplitudes = deflate_cost(f, centres, amplitudes,
+                                           x_vertex, z)
+        f, f_x = bumped_cost(bp, centres, amplitudes, mu_defl)
         x_start = x_vertex
     best_x, best_f = None, np.inf
     for r in records:

@@ -29,6 +29,23 @@ EXIT_PARSE = 2
 EXIT_SOLVER = 3
 
 
+def _checked(kind, ok, what):
+    """argparse ``type=`` converter: ``kind(text)``, refused with the
+    parse-error code unless ``ok`` holds for it."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    return convert
+
+
+_POS_INT = _checked(int, lambda v: v > 0, "an integer > 0")
+_NONNEG_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POS_FLOAT = _checked(float, lambda v: 0.0 < v < np.inf,
+                     "a finite number > 0")
+
+
 def _add_common(p):
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="gradient scaling factor (default 1e-4)")
@@ -49,7 +66,7 @@ def _add_common(p):
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--rho-max", type=float, default=None)
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NONNEG_INT, default=0)
     p.add_argument("--trace", default=None,
                    help="trajectory CSV path (bench: directory)")
     p.add_argument("--report", default=None, help="report CSV path")
@@ -228,9 +245,9 @@ def build_parser():
 
     p = sub.add_parser("bench", help="flow-vs-oracle benchmark on seeded "
                                      "random QPs")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--n", type=int, default=15)
-    p.add_argument("--nc", type=int, default=20)
+    p.add_argument("--count", type=_POS_INT, default=50)
+    p.add_argument("--n", type=_POS_INT, default=15)
+    p.add_argument("--nc", type=_NONNEG_INT, default=20)
     _add_common(p)
     p.set_defaults(fn=cmd_bench)
 
@@ -238,14 +255,14 @@ def build_parser():
     p.add_argument("input", nargs="?", default=None,
                    help="scenario file (default: built-in double "
                         "integrator)")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_POS_INT, default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_mpc)
 
     p = sub.add_parser("minlp", help="binary solve by deflation")
     p.add_argument("input")
-    p.add_argument("--mu-defl", type=float, default=40.0)
-    p.add_argument("--max-minima", type=int, default=None)
+    p.add_argument("--mu-defl", type=_POS_FLOAT, default=40.0)
+    p.add_argument("--max-minima", type=_POS_INT, default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_minlp)
 
@@ -253,10 +270,10 @@ def build_parser():
                                            "diagnostic")
     p.add_argument("input", nargs="?", default=None)
     p.add_argument("--kind", choices=("qp", "binary"), default="qp")
-    p.add_argument("--n", type=int, default=15)
-    p.add_argument("--nc", type=int, default=20)
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--step", type=float, default=1e-6)
+    p.add_argument("--n", type=_POS_INT, default=15)
+    p.add_argument("--nc", type=_NONNEG_INT, default=20)
+    p.add_argument("--points", type=_POS_INT, default=10)
+    p.add_argument("--step", type=_POS_FLOAT, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-5)
     _add_common(p)
     p.set_defaults(fn=cmd_check_grads)

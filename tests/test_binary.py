@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import penaltyflow as pf
+from penaltyflow import binary
 from penaltyflow.binary import BINARY_Q
 from penaltyflow.errors import EnumerationBoundError
 from penaltyflow.problem import PenaltyConfig, check_gradients, eval_penalty
@@ -41,6 +42,11 @@ class TestBinaryQuadratic:
         with pytest.raises(ValueError):
             pf.BinaryProblem(n=2, f=lambda x: 0.0,
                              f_x=lambda x: np.zeros(2), n_native=1)
+        with pytest.raises(ValueError):
+            # natives without their Jacobian
+            pf.BinaryProblem(n=2, f=lambda x: 0.0,
+                             f_x=lambda x: np.zeros(2), n_native=1,
+                             c_native=lambda x: np.zeros(1))
 
 
 class TestBinarize:
@@ -115,34 +121,45 @@ class TestFindNeighbor:
         np.testing.assert_array_equal(z, [0.0, 1.0])
 
 
+def _one_bump(bp, x_s, z_s, mu_defl=40.0):
+    """Evaluators and amplitude of bp's objective with one bump at x_s
+    sized against z_s."""
+    f, _ = pf.bumped_cost(bp, np.zeros((0, bp.n)), np.zeros(0), mu_defl)
+    centres, amplitudes = pf.deflate_cost(f, np.zeros((0, bp.n)),
+                                          np.zeros(0), x_s, z_s)
+    f_new, g_new = pf.bumped_cost(bp, centres, amplitudes, mu_defl)
+    return f_new, g_new, amplitudes[-1]
+
+
 class TestDeflateCost:
     def test_value_at_center(self):
         bp = pf.binary_quadratic(np.zeros((2, 2)), np.ones(2))
         x_s = np.zeros(2)
         z = np.array([1.0, 0.0])
-        f_new, g_new, a = pf.deflate_cost(bp.f, bp.f_x, x_s, z, 40.0)
+        f_new, g_new, a = _one_bump(bp, x_s, z)
         assert a == 3.0
         assert f_new(x_s) == pytest.approx(bp.f(x_s) + 3.0, rel=1e-15)
 
     def test_amplitude_guard_for_negative_values(self):
-        f = lambda x: -1.0
-        g = lambda x: np.zeros(2)
-        _, _, a = pf.deflate_cost(f, g, np.zeros(2), np.ones(2), 40.0)
-        assert a == 3.0
+        centres, amplitudes = pf.deflate_cost(
+            lambda x: -1.0, np.zeros((0, 2)), np.zeros(0), np.zeros(2),
+            np.ones(2))
+        np.testing.assert_array_equal(centres, [[0.0, 0.0]])
+        np.testing.assert_array_equal(amplitudes, [3.0])
 
     def test_neighbor_nearly_unchanged(self):
         bp = pf.binary_quadratic(np.zeros((2, 2)), np.ones(2))
         x_s = np.zeros(2)
         z = np.array([1.0, 0.0])
-        f_new, _, a = pf.deflate_cost(bp.f, bp.f_x, x_s, z, 40.0)
+        f_new, _, a = _one_bump(bp, x_s, z)
         lift = f_new(z) - bp.f(z)
         assert lift == pytest.approx(a * math.exp(-10.0), rel=1e-12)
         assert f_new(x_s) > f_new(z)
 
     def test_far_field_locality(self):
         bp = pf.binary_quadratic(np.eye(3), np.ones(3))
-        f_new, g_new, _ = pf.deflate_cost(bp.f, bp.f_x, np.zeros(3),
-                                          np.array([1.0, 0.0, 0.0]), 40.0)
+        f_new, g_new, _ = _one_bump(bp, np.zeros(3),
+                                    np.array([1.0, 0.0, 0.0]))
         rng = np.random.default_rng(8)
         for _ in range(10):
             d = rng.standard_normal(3)
@@ -153,8 +170,7 @@ class TestDeflateCost:
 
     def test_gradient_of_bump(self):
         bp = pf.binary_quadratic(np.eye(2), np.zeros(2))
-        f_new, g_new, _ = pf.deflate_cost(bp.f, bp.f_x, np.zeros(2),
-                                          np.array([0.0, 1.0]), 40.0)
+        f_new, g_new, _ = _one_bump(bp, np.zeros(2), np.array([0.0, 1.0]))
         x = np.array([0.2, -0.1])
         step = 1e-7
         fd = np.zeros(2)
@@ -166,8 +182,31 @@ class TestDeflateCost:
 
     def test_strength_validated(self):
         bp = pf.binary_quadratic(np.eye(2), np.zeros(2))
+        for mu_defl in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                pf.bumped_cost(bp, np.zeros((0, 2)), np.zeros(0), mu_defl)
         with pytest.raises(ValueError):
-            pf.deflate_cost(bp.f, bp.f_x, np.zeros(2), np.ones(2), 0.0)
+            pf.bumped_cost(bp, np.zeros((2, 2)), np.ones(1), 40.0)
+
+    def test_stacked_bumps_sum_left_to_right(self):
+        # three bumps, the first and last on the same centre: value and
+        # gradient are the base plus each bump in stacking order, exactly
+        bp = pf.binary_quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                 np.array([-1.0, 0.3]))
+        mu = 7.0
+        centres = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+        amplitudes = np.array([1.7, 3.1, 2.9])
+        f, f_x = pf.bumped_cost(bp, centres, amplitudes, mu)
+        # over these points another order rounds differently at some
+        for x in np.random.default_rng(3).uniform(-0.5, 1.5, size=(20, 2)):
+            value, grad = float(bp.f(x)), bp.f_x(x)
+            for x_j, a_j in zip(centres, amplitudes):
+                d = x - x_j
+                bump = a_j * np.exp(-mu * float(d @ d) / 4.0)
+                value = value + bump
+                grad = grad + bump * (-mu / 2.0) * d
+            assert f(x) == value
+            assert np.array_equal(f_x(x), grad)
 
 
 class TestSolveBinary:
@@ -182,7 +221,6 @@ class TestSolveBinary:
         np.testing.assert_array_equal(rec.z_s, [0.0, 0.0])
         assert rec.native_feasible
         assert rec.f_original == -2.0
-        assert rec.bump_strength == 40.0
         assert rec.status == "converged"
 
     def test_unconstrained_sum(self):
@@ -221,6 +259,22 @@ class TestSolveBinary:
     def test_cap_validated(self):
         with pytest.raises(ValueError):
             pf.solve_binary(_knapsack(), max_minima=0)
+
+    def test_checks_before_first_solve(self, monkeypatch):
+        # binary.solve is the seam every inner solve goes through
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return pf.solve(*args, **kwargs)
+
+        monkeypatch.setattr(binary, "solve", counting_solve)
+        for mu_defl in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                pf.solve_binary(_knapsack(), mu_defl=mu_defl)
+        assert calls == []
+        res = pf.solve_binary(_knapsack(), max_minima=2)
+        assert len(calls) == res.inner_solves == 2
 
     def test_converged_solve_lands_near_vertex(self):
         prob = pf.binarize(_knapsack())

@@ -210,6 +210,26 @@ class TestParser:
             == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("check-grads", "--step", "0"), ("check-grads", "--n", "0"),
+        ("check-grads", "--nc", "-1"), ("check-grads", "--points", "0"),
+        ("bench", "--n", "0"), ("bench", "--nc", "-1"),
+        ("bench", "--count", "0"), ("minlp", "--max-minima", "0"),
+        ("minlp", "--mu-defl", "0"), ("minlp", "--mu-defl", "nan"),
+        ("mpc", "--steps", "0"), ("bench", "--seed", "-1"),
+        ("check-grads", "--seed", "-1"),
+    ])
+    def test_out_of_range_subcommand_flag(self, tmp_path, capsys, command,
+                                          flag, value):
+        # refused while parsing, before any work; bench and minlp would
+        # otherwise write their report here
+        argv = [command, flag, value, "--report", str(tmp_path / "r.csv")]
+        if command == "minlp":
+            argv.insert(1, _knapsack_file(tmp_path))
+        assert main(argv) == EXIT_PARSE
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
 
 def _mpc_doc(**fields):
     doc = {"plant": {"n_xi": 1, "n_u": 1, "A_d": [1.0], "B_d": [1.0]},
