@@ -58,9 +58,6 @@ def _add_common(p):
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--rtol", type=float, default=None)
     p.add_argument("--atol", type=float, default=None)
-    p.add_argument("--h-init", type=float, default=None)
-    p.add_argument("--h-max", type=float, default=None)
-    p.add_argument("--sample-stride", type=int, default=None)
     p.add_argument("--eps-psi", type=float, default=None)
     p.add_argument("--eps-g", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
@@ -274,7 +271,7 @@ def build_parser():
     p.add_argument("--nc", type=_NONNEG_INT, default=20)
     p.add_argument("--points", type=_POS_INT, default=10)
     p.add_argument("--step", type=_POS_FLOAT, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_POS_FLOAT, default=1e-5)
     _add_common(p)
     p.set_defaults(fn=cmd_check_grads)
     return ap

@@ -67,10 +67,20 @@ def _get(doc, field, kind=None):
     return val
 
 
+def _is_numbers(val):
+    """val is a number or a (nested) list of numbers; a bool or a
+    numeric string is neither."""
+    if isinstance(val, list):
+        return all(_is_numbers(v) for v in val)
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _floats(doc, field):
     """A number or a (nested) list of numbers -> flat float array; every
     entry must be finite (JSON NaN and Infinity are rejected)."""
     raw = _get(doc, field)
+    if not _is_numbers(raw):
+        raise FileFormatError(field, "expected numbers")
     try:
         arr = np.asarray(raw, dtype=float).reshape(-1)
     except (TypeError, ValueError) as e:

@@ -52,10 +52,10 @@ class FlowParams:
     m: int = 2
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be > 0")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be finite and > 0")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and > 0")
         if self.q < 1:
             raise ValueError("q must be >= 1")
         if self.mode not in MODES:

@@ -1,5 +1,5 @@
-"""Flow integration with event-based stopping, trajectory sampling, and a
-cost-monotonicity monitor, wrapped into the top-level ``solve``.
+"""Flow integration with event-based stopping and trajectory sampling,
+wrapped into the top-level ``solve``.
 
 The flow is stepped by scipy's BDF, a variable-order implicit multistep
 method, driven one accepted step at a time. The penalty Hessian scale
@@ -33,13 +33,14 @@ __all__ = [
     "solve", "trajectory_header", "save_trajectory",
 ]
 
-STATUSES = ("converged", "t_max_reached", "rho_max_reached",
-            "step_budget_exhausted", "rhs_failure")
-
 # pathological stepper-stall ceiling; each restart must advance t
 _MAX_RESTARTS = 100
 
-_GAMMA_WARNING_STREAK = 50
+# first BDF step size; the stepper grows it geometrically from here
+_FIRST_STEP = 1e-6
+
+# the trajectory keeps every this-many-th accepted step
+_SAMPLE_STRIDE = 10
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,9 @@ class StopCriteria:
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if min(self.eps_psi, self.eps_g, self.t_max, self.rho_max) <= 0.0:
+        # written so that NaN fails; t_max and rho_max may be inf
+        if not all(v > 0.0 for v in (self.eps_psi, self.eps_g, self.t_max,
+                                     self.rho_max)):
             raise ValueError("all stop thresholds must be > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -69,22 +72,14 @@ class StopCriteria:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Local-error tolerances, first and largest step sizes, and
-    trajectory decimation."""
+    """Local-error tolerances of the BDF stepper."""
 
     rtol: float = 1e-6
     atol: float = 1e-9
-    h_init: float = 1e-6
-    h_max: float = math.inf
-    sample_stride: int = 10
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("rtol and atol must be > 0")
-        if not (0.0 < self.h_init <= self.h_max):
-            raise ValueError("need 0 < h_init <= h_max")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be finite and > 0")
 
 
 @dataclass
@@ -93,10 +88,10 @@ class SolveResult:
     ``solve``) multipliers with KKT residuals.
 
     trajectory rows are [t, rho, psi, g, f, fbar, x_0 .. x_{n-1}],
-    decimated to every sample_stride-th accepted step plus the initial
-    and final states. status = "converged" guarantees psi_final <=
-    eps_psi and g_final <= eps_g. restarts counts the rebuilds of a
-    stalled stepper.
+    decimated to every 10th accepted step plus the initial and final
+    states. status = "converged" guarantees psi_final <= eps_psi and
+    g_final <= eps_g. restarts counts the rebuilds of a stalled stepper.
+    warnings holds the detail of a failure and is empty otherwise.
     """
 
     status: str
@@ -106,7 +101,6 @@ class SolveResult:
     psi: float
     g: float
     f: float
-    fbar: float
     trajectory: np.ndarray
     accepted_steps: int
     restarts: int = 0
@@ -132,55 +126,6 @@ def save_trajectory(result: SolveResult, path) -> None:
 # ----------------------------------------------------------------------
 # integration loop
 # ----------------------------------------------------------------------
-
-class _Recorder:
-    """Accumulates decimated trajectory rows and the monitor state."""
-
-    def __init__(self, problem, params, config):
-        self.problem = problem
-        self.params = params
-        self.cfg = params.cfg
-        self.config = config
-        self.rows = []
-        self.accepted = 0
-        self.warnings = []
-        self._streak = 0
-        self._gamma_warned = False
-        self._last_sampled = -1
-        self.fbar_prev = None
-
-    def measure(self, t, y):
-        x, rho = y[:-1], float(y[-1])
-        psi, g, f = measure_state(self.problem, x, rho, self.cfg)
-        return x, rho, psi, g, f, f + rho * psi
-
-    def record(self, t, x, rho, psi, g, f, fbar, force=False):
-        # force bypasses the stride, never the one-row-per-step guard
-        if force or self.accepted % self.config.sample_stride == 0:
-            if self._last_sampled != self.accepted:
-                self.rows.append([t, rho, psi, g, f, fbar, *x])
-                self._last_sampled = self.accepted
-
-    def monitor(self, fbar):
-        # advisory only: a sustained climb is expected whenever the
-        # constrained optimum value lies above the start value, so the
-        # warning flags gamma for review rather than declaring it wrong
-        if self.fbar_prev is not None:
-            slack = 10.0 * (self.config.atol
-                            + self.config.rtol * abs(self.fbar_prev))
-            if fbar > self.fbar_prev + slack:
-                self._streak += 1
-            else:
-                self._streak = 0
-            if self._streak >= _GAMMA_WARNING_STREAK and not self._gamma_warned:
-                self._gamma_warned = True
-                self.warnings.append(
-                    "gamma-too-large: weighted cost increased over "
-                    f"{_GAMMA_WARNING_STREAK} consecutive accepted steps; "
-                    f"gamma = {self.params.gamma:g} may exceed the "
-                    "sufficient-descent bound for this problem")
-        self.fbar_prev = fbar
-
 
 def _guarded(problem, params):
     """Flow RHS and, when the problem has a Hessian hook, the exact flow
@@ -218,9 +163,9 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
     """Integrate the flow from ``state0`` until a stop criterion fires.
 
     Convergence (psi <= eps_psi and g <= eps_g) is checked after every
-    accepted step; trajectory samples are retained every sample_stride
-    accepted steps plus the initial and final states. Evaluator and
-    overflow failures surface as status "rhs_failure" with the detail in
+    accepted step; trajectory samples are retained every 10th accepted
+    step plus the initial and final states. Evaluator and overflow
+    failures surface as status "rhs_failure" with the detail in
     ``warnings``; any other exception raised by an evaluator propagates.
     """
     if state0.rho < 0.0:
@@ -228,31 +173,37 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
     y = np.concatenate([np.asarray(state0.x, dtype=float),
                         [float(state0.rho)]])
     t = float(state0.t)
-
-    rec = _Recorder(problem, params, config)
+    cfg = params.cfg
     rhs, jac, failure = _guarded(problem, params)
 
-    # initial sample and immediate convergence check
+    def measure(t, y):
+        """The trajectory row [t, rho, psi, g, f, fbar, *x] of (t, y)."""
+        x, rho = y[:-1], float(y[-1])
+        psi, g, f = measure_state(problem, x, rho, cfg)
+        return [t, rho, psi, g, f, f + rho * psi, *x]
+
+    def done(row):
+        return row[2] <= stop.eps_psi and row[3] <= stop.eps_g
+
     try:
-        x, rho, psi, g, f, fbar = rec.measure(t, y)
+        row = measure(t, y)
     except (EvaluationError, FactorOverflowError) as exc:
-        rec.warnings.append(f"rhs failure at t={t:g}: {exc}")
         return SolveResult(
-            status="rhs_failure", x=np.asarray(state0.x, float).copy(),
-            rho=float(state0.rho), t=t, psi=math.nan, g=math.nan,
-            f=math.nan, fbar=math.nan, trajectory=np.zeros((0, y.size + 5)),
-            accepted_steps=0, warnings=list(rec.warnings))
-    rec.record(t, x, rho, psi, g, f, fbar, force=True)
-    rec.monitor(fbar)
-    status = ("converged" if psi <= stop.eps_psi and g <= stop.eps_g
-              else None)
+            status="rhs_failure", x=y[:-1].copy(), rho=float(y[-1]), t=t,
+            psi=math.nan, g=math.nan, f=math.nan,
+            trajectory=np.zeros((0, y.size + 5)), accepted_steps=0,
+            warnings=[f"rhs failure at t={t:g}: {exc}"])
+    rows = [row]
+    accepted = 0
+    warnings = []
+    status = "converged" if done(row) else None
 
     restarts = 0
     t_anchor = t
     while status is None:
         stepper = BDF(rhs, t, y, t_bound=stop.t_max, jac=jac,
                       rtol=config.rtol, atol=config.atol,
-                      max_step=config.h_max, first_step=config.h_init)
+                      first_step=_FIRST_STEP)
         while status is None and stepper.status == "running":
             try:
                 stepper.step()
@@ -262,28 +213,26 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
                 if failure["exc"] is None:
                     raise
             if failure["exc"] is not None:
-                rec.warnings.append(
+                warnings.append(
                     f"rhs failure at t={stepper.t:g}: {failure['exc']}")
                 status = "rhs_failure"
             elif stepper.status != "failed":
                 try:
-                    x, rho, psi, g, f, fbar = rec.measure(stepper.t,
-                                                          stepper.y)
+                    row = measure(stepper.t, stepper.y)
                 except (EvaluationError, FactorOverflowError) as exc:
                     # the result keeps the last state that measured
-                    rec.warnings.append(
-                        f"rhs failure at t={stepper.t:g}: {exc}")
+                    warnings.append(f"rhs failure at t={stepper.t:g}: {exc}")
                     status = "rhs_failure"
                     break
                 t, y = stepper.t, stepper.y
-                rec.accepted += 1
-                rec.record(t, x, rho, psi, g, f, fbar)
-                rec.monitor(fbar)
-                if psi <= stop.eps_psi and g <= stop.eps_g:
+                accepted += 1
+                if accepted % _SAMPLE_STRIDE == 0:
+                    rows.append(row)
+                if done(row):
                     status = "converged"
-                elif rho > stop.rho_max:
+                elif row[1] > stop.rho_max:
                     status = "rho_max_reached"
-                elif rec.accepted >= stop.max_steps:
+                elif accepted >= stop.max_steps:
                     status = "step_budget_exhausted"
         if status is not None:
             break
@@ -294,18 +243,19 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
         # while rebuilds keep advancing t
         restarts += 1
         if restarts > _MAX_RESTARTS or (t <= t_anchor and restarts > 1):
-            rec.warnings.append(
+            warnings.append(
                 f"stiff stepper failed at t={t:g} after {restarts} restarts")
             status = "rhs_failure"
         t_anchor = t
 
-    # (x, rho, psi, g, f, fbar) still hold the measurement of (t, y)
-    rec.record(t, x, rho, psi, g, f, fbar, force=True)
+    # row is the measurement of (t, y), already kept if it was sampled
+    if rows[-1] is not row:
+        rows.append(row)
+    _, rho, psi, g, f = row[:5]
     return SolveResult(
-        status=status, x=x.copy(), rho=rho, t=t, psi=psi, g=g, f=f,
-        fbar=fbar, trajectory=np.array(rec.rows, dtype=float),
-        accepted_steps=rec.accepted, restarts=restarts,
-        warnings=list(rec.warnings))
+        status=status, x=y[:-1].copy(), rho=rho, t=t, psi=psi, g=g, f=f,
+        trajectory=np.array(rows, dtype=float), accepted_steps=accepted,
+        restarts=restarts, warnings=warnings)
 
 
 def solve(problem: Problem, params: FlowParams, state0: FlowState,

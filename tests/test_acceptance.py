@@ -17,6 +17,10 @@ BENCH_COUNT = 50
 BENCH_N = 15
 BENCH_NC = 20
 SWEEP_SEEDS = range(10)
+# worst errors over the 50 benchmark instances, relative to the scales
+# in test_multiplier_recovery, are about 10x below these bounds
+MU_RECOVERY_BOUND = 2e-3
+X_RECOVERY_BOUND = 5e-4
 
 
 def _report(num, ok, detail):
@@ -253,6 +257,27 @@ def test_criterion_5_oracle_equivalence(bench_report):
             f"1-D bound: {bound_ok}, halfspace projection: {half_ok}, "
             f"flow-vs-oracle band on all {len(bench_report.rows)} "
             f"instances: {bench_report.passed}")
+
+
+def test_multiplier_recovery(bench_report):
+    # the multipliers read off the final state, and that state itself,
+    # against the oracle's certified (x*, mu*) on all 50 instances
+    worst_mu = worst_x = 0.0
+    for r in bench_report.rows:
+        data, _ = pf.generate_random_qp(BENCH_N, BENCH_NC, seed=r.seed)
+        osol = pf.active_set_oracle(data)
+        res = r.result
+        worst_mu = max(worst_mu, float(np.max(np.abs(res.mu - osol.mu_star)))
+                       / max(1.0, float(np.max(osol.mu_star))))
+        worst_x = max(worst_x, float(np.linalg.norm(res.x - osol.x_star))
+                      / (1.0 + float(np.linalg.norm(osol.x_star))))
+    ok = worst_mu <= MU_RECOVERY_BOUND and worst_x <= X_RECOVERY_BOUND
+    detail = (f"max |mu - mu*| / max(1, max mu*) = {worst_mu:.2e} (bound "
+              f"{MU_RECOVERY_BOUND:g}), |x - x*| / (1 + |x*|) = "
+              f"{worst_x:.2e} (bound {X_RECOVERY_BOUND:g}) over "
+              f"{len(bench_report.rows)} instances")
+    print(f"{'PASS' if ok else 'FAIL'} multiplier recovery: {detail}")
+    assert ok, detail
 
 
 def test_criterion_6_mpc_closed_loop():

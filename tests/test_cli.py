@@ -196,19 +196,32 @@ class TestParser:
 
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["bench", "--does-not-exist"]) == EXIT_PARSE
-        # the explicit stepper and its options are gone
+        # the explicit stepper, its options and the step-size and
+        # sampling knobs are gone
         qp = _descent_qp(tmp_path)
         for flags in (["--method", "rk45"], ["--h-min", "1e-9"],
-                      ["--mode", "plain"]):
+                      ["--mode", "plain"], ["--h-init", "1e-6"],
+                      ["--h-max", "1.0"], ["--sample-stride", "10"]):
             assert main(["solve-qp", qp, *flags]) == EXIT_PARSE
 
-    @pytest.mark.parametrize("flags", [["--rtol", "0"], ["--q", "0"],
-                                       ["--h-init", "0"]])
+    @pytest.mark.parametrize("flags", [
+        ["--rtol", "0"], ["--q", "0"], ["--gamma", "nan"],
+        ["--gamma", "inf"], ["--t-max", "nan"], ["--lambda", "nan"],
+        ["--lambda", "inf"], ["--rtol", "nan"], ["--rtol", "inf"],
+        ["--atol", "nan"], ["--atol", "inf"], ["--eps-psi", "nan"],
+        ["--eps-g", "nan"], ["--rho-max", "nan"],
+    ])
     def test_rejected_config_value(self, tmp_path, capsys, flags):
         # parsed fine, refused by the config dataclass: still exit 2
         assert main(["solve-qp", _descent_qp(tmp_path), *flags]) \
             == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
+
+    def test_infinite_horizons_accepted(self, tmp_path, capsys):
+        rc = main(["solve-qp", _descent_qp(tmp_path), "--t-max", "inf",
+                   "--rho-max", "inf"])
+        assert rc == EXIT_OK
+        assert "status=converged" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, flag, value", [
         ("check-grads", "--step", "0"), ("check-grads", "--n", "0"),
@@ -217,7 +230,8 @@ class TestParser:
         ("bench", "--count", "0"), ("minlp", "--max-minima", "0"),
         ("minlp", "--mu-defl", "0"), ("minlp", "--mu-defl", "nan"),
         ("mpc", "--steps", "0"), ("bench", "--seed", "-1"),
-        ("check-grads", "--seed", "-1"),
+        ("check-grads", "--seed", "-1"), ("check-grads", "--tol", "-1"),
+        ("check-grads", "--tol", "nan"),
     ])
     def test_out_of_range_subcommand_flag(self, tmp_path, capsys, command,
                                           flag, value):
@@ -258,6 +272,8 @@ class TestMalformedFiles:
         ("solve-qp", {**_QP_DOC, "F": [_NAN]}, "F"),
         ("solve-qp", {**_QP_DOC, "H": [_INF]}, "H"),
         ("solve-qp", {**_QP_DOC, "B": [-_INF]}, "B"),
+        ("solve-qp", {**_QP_DOC, "H": ["1"]}, "H"),
+        ("minlp", {**_BINARY_DOC, "F": [True, 0.0]}, "F"),
     ])
     def test_typed_error_and_exit_2(self, tmp_path, capsys, command, doc,
                                     field):
@@ -266,3 +282,73 @@ class TestMalformedFiles:
                    "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_PARSE
         assert f"bad or missing field '{field}'" in capsys.readouterr().err
+
+
+# optional fields, whose absence is valid
+_OPTIONAL = {"mpc": {"xi0", "steps"}}
+# a numeric string, a bool, null, NaN and a ragged nested list
+_BAD_VALUES = ["1", True, None, _NAN, [[1.0], [1.0, 2.0]]]
+
+
+def _mutations(command, doc, rng):
+    """Malformed variants of a valid document, as (description, doc):
+    every required field (also those of a nested object) dropped, every
+    field replaced by each bad value, every number made negative, every
+    list truncated, and a seeded choice of list entries replaced by each
+    bad value."""
+    def edit(path, change):
+        new = json.loads(json.dumps(doc))
+        *outer, key = path
+        target = new
+        for k in outer:
+            target = target[k]
+        change(target, key)
+        return new
+
+    def paths(d, prefix=()):
+        for key, value in d.items():
+            yield prefix + (key,), value
+            if isinstance(value, dict):
+                yield from paths(value, prefix + (key,))
+
+    for path, value in paths(doc):
+        name = ".".join(path)
+        if path[-1] not in _OPTIONAL.get(command, ()):
+            yield f"drop {name}", edit(path, lambda t, k: t.pop(k))
+        for bad in _BAD_VALUES:
+            yield f"{name} = {bad!r}", edit(
+                path, lambda t, k, bad=bad: t.__setitem__(k, bad))
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield f"{name} negative", edit(
+                path, lambda t, k: t.__setitem__(k, -1 - t[k]))
+        if isinstance(value, list):
+            yield f"truncate {name}", edit(path, lambda t, k: t[k].pop())
+            for i in sorted(set(rng.integers(len(value), size=2))):
+                for bad in _BAD_VALUES:
+                    yield f"{name}[{i}] = {bad!r}", edit(
+                        path,
+                        lambda t, k, i=i, bad=bad: t[k].__setitem__(i, bad))
+
+
+class TestFileFuzz:
+    @pytest.mark.parametrize("command, doc", [
+        ("solve-qp", _QP_DOC), ("minlp", _BINARY_DOC),
+        ("mpc", _mpc_doc(xi0=[0.0])),
+    ], ids=["qp", "binary", "mpc"])
+    def test_mutations_exit_2(self, tmp_path, capsys, command, doc):
+        # one step at most, so a mutation that slipped through ends fast
+        # instead of running a full solve
+        argv = [command, str(tmp_path / "in.json"), "--max-steps", "1",
+                "--report", str(tmp_path / "r.csv")]
+        _write_json(tmp_path, "in.json", doc)
+        assert main(argv) != EXIT_PARSE
+        capsys.readouterr()
+        escaped = []
+        cases = list(_mutations(command, doc, np.random.default_rng(0)))
+        for what, bad in cases:
+            _write_json(tmp_path, "in.json", bad)
+            rc = main(argv)
+            if rc != EXIT_PARSE or "error:" not in capsys.readouterr().err:
+                escaped.append(f"{what}: exit {rc}")
+        assert len(cases) >= 60
+        assert escaped == []

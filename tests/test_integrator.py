@@ -1,4 +1,4 @@
-"""Stepper, integration loop, stopping, sampling, and monitor tests."""
+"""Stepper, integration loop, stopping, and sampling tests."""
 
 import math
 
@@ -164,27 +164,6 @@ class TestIntegrate:
                          pf.StopCriteria(), pf.IntegratorConfig())
 
 
-class TestMonitorAndWarnings:
-    def test_gamma_too_large_warning(self, halfspace_problem):
-        # gamma far above the sufficient-descent bound makes fbar climb
-        # while rho ramps; the flow still converges at loose thresholds
-        res = pf.integrate(halfspace_problem,
-                           pf.FlowParams(gamma=1.0),
-                           pf.FlowState(x=np.zeros(2)),
-                           pf.StopCriteria(eps_psi=0.04, eps_g=0.05),
-                           pf.IntegratorConfig(h_max=0.005))
-        assert res.status == "converged"
-        assert any("gamma-too-large" in w for w in res.warnings)
-
-    def test_no_gamma_warning_on_descent(self):
-        # psi = 0 throughout, so fbar = f strictly decreases
-        res = pf.integrate(_unconstrained_quad(), pf.FlowParams(),
-                           pf.FlowState(x=np.array([3.0, -2.0])),
-                           pf.StopCriteria(), pf.IntegratorConfig())
-        assert res.status == "converged"
-        assert not any("gamma-too-large" in w for w in res.warnings)
-
-
 class TestTrajectory:
     def test_header_layout(self):
         assert trajectory_header(2) == "t,rho,psi,g,f,fbar,x0,x1"
@@ -202,14 +181,14 @@ class TestTrajectory:
         rho = traj[:, 1]
         assert np.all(np.diff(rho) >= -1e-12 * max(1.0, rho.max()))
 
-    @pytest.mark.parametrize("stride", [1, 10])
-    def test_sample_stride_decimation(self, halfspace_problem, stride):
+    def test_sample_stride_decimation(self, halfspace_problem):
+        # the initial state, every 10th accepted step, and the final
+        # state unless its step was one of those
         res = pf.integrate(halfspace_problem, pf.FlowParams(),
                            pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
-                           pf.IntegratorConfig(sample_stride=stride))
+                           pf.IntegratorConfig())
         a = res.accepted_steps
-        expected = 1 + a // stride + (1 if a % stride else 0)
-        assert res.trajectory.shape[0] == expected
+        assert res.trajectory.shape[0] == 1 + a // 10 + (1 if a % 10 else 0)
 
     def test_save_trajectory_roundtrip(self, halfspace_problem, tmp_path):
         res = pf.integrate(halfspace_problem, pf.FlowParams(),
@@ -257,14 +236,17 @@ class TestSolveAndDeterminism:
         np.testing.assert_array_equal(a.trajectory, b.trajectory)
         assert a.accepted_steps == b.accepted_steps
 
+    def test_converged_solve_has_no_warnings(self):
+        # warnings carry failure detail only; a clean solve has none
+        data, _ = pf.generate_random_qp(15, 20, seed=0)
+        res = pf.solve(pf.qp_problem(data), pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(15)), pf.StopCriteria(),
+                       pf.IntegratorConfig())
+        assert res.status == "converged"
+        assert res.warnings == []
+
 
 class TestConfigValidation:
-    def test_step_bounds_order(self):
-        with pytest.raises(ValueError):
-            pf.IntegratorConfig(h_init=0.0)
-        with pytest.raises(ValueError):
-            pf.IntegratorConfig(h_init=2.0, h_max=1.0)
-
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
             pf.IntegratorConfig(rtol=0.0)
@@ -272,7 +254,3 @@ class TestConfigValidation:
             pf.StopCriteria(eps_psi=0.0)
         with pytest.raises(ValueError):
             pf.StopCriteria(max_steps=0)
-
-    def test_stride_positive(self):
-        with pytest.raises(ValueError):
-            pf.IntegratorConfig(sample_stride=0)
