@@ -56,8 +56,10 @@ def _add_common(p):
     p.add_argument("--m", type=int, default=None,
                    help="penalty exponent (default 2)")
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
+    p.add_argument("--rtol", type=float, default=None,
+                   help="BDF relative tolerance (default 1e-3)")
+    p.add_argument("--atol", type=float, default=None,
+                   help="BDF absolute tolerance (default 1e-9)")
     p.add_argument("--eps-psi", type=float, default=None)
     p.add_argument("--eps-g", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)

@@ -12,6 +12,13 @@ right-hand side. If the stepper stalls it is rebuilt from the last
 accepted state; rebuilds that make no forward progress terminate the
 run.
 
+The answer is the asymptotic state, not the path to it: "converged" is
+certified at the final state by the stop test (psi <= eps_psi and
+g <= eps_g), and the local error along the trajectory does not enter
+that certificate. The default relative tolerance is therefore loose
+(1e-3); most accepted steps lie in the tail, where the violated set no
+longer changes and tighter tracking buys nothing the stop test checks.
+
 The integrand state is packed as y = [x_0 .. x_{n-1}, rho].
 """
 
@@ -72,9 +79,19 @@ class StopCriteria:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Local-error tolerances of the BDF stepper."""
+    """Local-error tolerances of the BDF stepper.
 
-    rtol: float = 1e-6
+    They steer the step size only. Whether a run converged is decided at
+    its final state by ``StopCriteria`` (psi <= eps_psi and
+    g <= eps_g), which no tolerance setting relaxes, so rtol is sized to
+    the stop test rather than to the trajectory. A looser rtol can keep
+    a run from ever meeting the stop test: at 1e-2, 38 of the 50 QPs of
+    the seeded benchmark end unconverged. atol stays tight: at 1e-6 the
+    final x and the multipliers read off it are 30-100 times further
+    from the reference on that benchmark, and one of its solves fails.
+    """
+
+    rtol: float = 1e-3
     atol: float = 1e-9
 
     def __post_init__(self):

@@ -21,6 +21,9 @@ SWEEP_SEEDS = range(10)
 # in test_multiplier_recovery, are about 10x below these bounds
 MU_RECOVERY_BOUND = 2e-3
 X_RECOVERY_BOUND = 5e-4
+# accepted BDF steps over the 50 benchmark solves: about 19,000 at the
+# default tolerances, about 60,000 at rtol 1e-6
+BENCH_STEP_BUDGET = 25_000
 
 
 def _report(num, ok, detail):
@@ -280,6 +283,17 @@ def test_multiplier_recovery(bench_report):
     assert ok, detail
 
 
+def test_benchmark_work_budget(bench_report):
+    # the integrator's work on criterion 1, so a tolerance or stepping
+    # change that multiplies the step count fails here, not only in time
+    total = sum(r.steps for r in bench_report.rows)
+    ok = total <= BENCH_STEP_BUDGET
+    detail = (f"{total} accepted steps over {len(bench_report.rows)} "
+              f"instances (budget {BENCH_STEP_BUDGET})")
+    print(f"{'PASS' if ok else 'FAIL'} work budget: {detail}")
+    assert ok, detail
+
+
 def test_criterion_6_mpc_closed_loop():
     plant, pqp, xi0 = pf.double_integrator_demo()
     trace = pf.simulate_closed_loop(plant, pqp, xi0, 60, pf.FlowParams(),
@@ -322,6 +336,20 @@ def test_criterion_7_binary_deflation(binary_sweep):
             f"knapsack exact: {knap_ok}, all best points native-feasible: "
             f"{feasible}, zero gap on {hits}/10 seeded instances "
             f"(missed seeds {missed})")
+
+
+def test_deflation_runs_reach_max_minima(binary_sweep):
+    # every inner solve converges, so each run stops on its cap and not
+    # on a failed inner solve
+    knap = pf.solve_binary(_knapsack())
+    statuses = [("knapsack", knap.status, knap.inner_solves)]
+    statuses += [(seed, res.status, res.inner_solves)
+                 for seed, _, res, _ in binary_sweep]
+    bad = [s for s in statuses if s[1] != "max_minima"]
+    detail = (f"{len(statuses) - len(bad)}/{len(statuses)} runs end in "
+              f"max_minima; others (run, status, inner solves): {bad}")
+    print(f"{'PASS' if not bad else 'FAIL'} deflation runs: {detail}")
+    assert not bad, detail
 
 
 def test_criterion_8_determinism(bench_report, binary_sweep, tmp_path):
