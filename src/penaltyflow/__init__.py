@@ -29,9 +29,9 @@ from .qp import (BenchReport, BenchRow, OracleSolution, QpData,
 from .mpc import (DEMO_STOP, ClosedLoopTrace, ParametricQp, Plant, condense,
                   double_integrator_demo, instantiate, mpc_step,
                   simulate_closed_loop)
-from .binary import (BinaryProblem, BinaryRunResult, DeflationRecord,
-                     binarize, binary_quadratic, brute_force_oracle,
-                     bumped_cost, deflate_cost, find_neighbor,
+from .binary import (BinaryRunResult, DeflationRecord, binarize,
+                     binary_quadratic, brute_force_oracle, bumped_cost,
+                     deflate_cost, find_neighbor, native_feasible,
                      solve_binary)
 from .fileio import (load_binary_problem, load_mpc_scenario, load_qp,
                      save_qp)

@@ -1,6 +1,8 @@
 """Binary optimization through smooth constraints and deflation.
 
-Each binary variable contributes three inequality constraints
+A binary problem is an ordinary Problem whose nbar_c constraints are the
+native ones and all of whose n variables are binary. Each binary
+variable contributes three inequality constraints
 
     x_i - x_i^2 <= 0,   -x_i <= 0,   x_i - 1 <= 0
 
@@ -15,7 +17,7 @@ is restarted from it with rho reset to 0. The bumps are data next to the
 base objective: a (k, n) array of centres and a (k,) array of amplitudes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
 from typing import Optional
 
@@ -26,9 +28,10 @@ from .fileio import atomic_write_text, fmt
 from .flow import FlowParams, FlowState
 from .integrator import IntegratorConfig, StopCriteria, solve
 from .problem import Problem
+from .qp import QpData, qp_problem
 
 __all__ = [
-    "BinaryProblem", "DeflationRecord", "BinaryRunResult",
+    "DeflationRecord", "BinaryRunResult", "native_feasible",
     "binary_quadratic", "binarize", "find_neighbor", "bumped_cost",
     "deflate_cost", "solve_binary", "brute_force_oracle", "BINARY_Q",
 ]
@@ -41,82 +44,41 @@ ORACLE_N_MAX = 20
 _NATIVE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BinaryProblem:
-    """Objective and native constraints over n binary variables.
-
-    f, f_x evaluate the (smooth) objective on all of R^n; c_native and
-    c_native_x evaluate the nbar_c native inequality constraints, or are
-    None when there are none. All n variables are binary.
-    """
-
-    n: int
-    f: callable
-    f_x: callable
-    n_native: int = 0
-    c_native: Optional[callable] = None
-    c_native_x: Optional[callable] = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.n_native < 0:
-            raise ValueError("n_native must be >= 0")
-        if not ((self.n_native > 0) == (self.c_native is not None)
-                == (self.c_native_x is not None)):
-            raise ValueError("c_native and c_native_x must be given iff "
-                             "n_native > 0")
-
-    def native_feasible(self, x, tol: float = _NATIVE_TOL) -> bool:
-        if self.n_native == 0:
-            return True
-        return bool(np.max(np.asarray(self.c_native(x), dtype=float)) <= tol)
+def native_feasible(problem: Problem, x, tol: float = _NATIVE_TOL) -> bool:
+    """True when x satisfies every native constraint of ``problem`` to
+    within ``tol``; always true without native constraints."""
+    if problem.n_c == 0:
+        return True
+    return bool(np.max(np.asarray(problem.c(x), dtype=float)) <= tol)
 
 
-def binary_quadratic(H, F, A=None, B=None) -> BinaryProblem:
+def binary_quadratic(H, F, A=None, B=None) -> Problem:
     """Binary problem with objective (1/2) x'Hx + F'x and optional
-    native linear constraints Ax <= B."""
-    H = 0.5 * (np.asarray(H, dtype=float) + np.asarray(H, dtype=float).T)
+    native linear constraints Ax <= B: the QP ``qp_problem`` builds,
+    with no constraints when A and B are None. Every entry must be
+    finite."""
     F = np.asarray(F, dtype=float)
-    n = F.size
-    if H.shape != (n, n):
-        raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ H @ x) + float(F @ x)
-
-    def f_x(x):
-        return H @ np.asarray(x, dtype=float) + F
-
     if A is None:
-        return BinaryProblem(n=n, f=f, f_x=f_x)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[1] != n or B.shape != (A.shape[0],):
-        raise ValueError("native constraint dimensions are inconsistent")
-    return BinaryProblem(
-        n=n, f=f, f_x=f_x, n_native=A.shape[0],
-        c_native=lambda x: A @ np.asarray(x, dtype=float) - B,
-        c_native_x=lambda x: A)
+        A, B = np.zeros((0, F.size)), np.zeros(0)
+    return qp_problem(QpData(H=H, F=F, A=A, B=B))
 
 
-def binarize(bp: BinaryProblem, f=None, f_x=None) -> Problem:
+def binarize(problem: Problem) -> Problem:
     """Smooth Problem enforcing binariness through inequalities.
 
-    Constraint order: natives first, then x - x^2, then -x, then x - 1
-    (n_c = n_native + 3n in total). ``f``/``f_x`` override the objective
-    evaluators, which is how deflated costs enter; the constraints never
-    change across deflation rounds.
+    Constraint order: the native constraints of ``problem`` first, then
+    x - x^2, then -x, then x - 1 (n_c + 3n in total). The objective is
+    the problem's own; the result has no Hessian hook, so the stepper
+    estimates the flow Jacobian by finite differences.
     """
-    n, k = bp.n, bp.n_native
+    n, k = problem.n, problem.n_c
     # rows of the -x and x - 1 blocks never change; each call fills in
     # the native rows and the diagonal of the x - x^2 block
     jac_base = np.vstack([np.zeros((k + n, n)), -np.eye(n), np.eye(n)])
 
     def c(x):
         x = np.asarray(x, dtype=float)
-        native = bp.c_native(x) if k else ()
+        native = problem.c(x) if k else ()
         return np.concatenate([np.asarray(native, dtype=float),
                                x - x * x, -x, x - 1.0])
 
@@ -124,15 +86,15 @@ def binarize(bp: BinaryProblem, f=None, f_x=None) -> Problem:
         x = np.asarray(x, dtype=float)
         jac = jac_base.copy()
         if k:
-            jac[:k] = bp.c_native_x(x)
+            jac[:k] = problem.c_x(x)
         np.fill_diagonal(jac[k:k + n], 1.0 - 2.0 * x)
         return jac
 
-    return Problem(n=n, n_c=k + 3 * n, f=bp.f if f is None else f,
-                   f_x=bp.f_x if f_x is None else f_x, c=c, c_x=c_x)
+    return Problem(n=n, n_c=k + 3 * n, f=problem.f, f_x=problem.f_x,
+                   c=c, c_x=c_x)
 
 
-def find_neighbor(x_s, bp: BinaryProblem):
+def find_neighbor(x_s, bp: Problem):
     """First native-feasible neighbor of a binary point.
 
     Scans single-bit flips in index order, then two-bit flips in
@@ -146,12 +108,12 @@ def find_neighbor(x_s, bp: BinaryProblem):
     for flip in chain(combinations(bits, 1), combinations(bits, 2)):
         z = x_s.copy()
         z[list(flip)] = 1.0 - z[list(flip)]
-        if bp.native_feasible(z):
+        if native_feasible(bp, z):
             return z
     return None
 
 
-def bumped_cost(bp: BinaryProblem, centres, amplitudes, mu_defl: float):
+def bumped_cost(bp: Problem, centres, amplitudes, mu_defl: float):
     """Evaluators (f, f_x) of the deflated cost
 
         f(x) = bp.f(x) + sum_j a_j * exp(-mu_defl * ||x - x_j||^2 / 4)
@@ -251,7 +213,7 @@ class BinaryRunResult:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def solve_binary(bp: BinaryProblem, params: Optional[FlowParams] = None,
+def solve_binary(bp: Problem, params: Optional[FlowParams] = None,
                  stop: StopCriteria = StopCriteria(),
                  config: IntegratorConfig = IntegratorConfig(),
                  max_minima: Optional[int] = None,
@@ -287,7 +249,7 @@ def solve_binary(bp: BinaryProblem, params: Optional[FlowParams] = None,
     status = "max_minima"
     inner = 0
     while inner < max_minima:
-        res = solve(binarize(bp, f, f_x), params,
+        res = solve(binarize(replace(bp, f=f, f_x=f_x, hess=None)), params,
                     FlowState(x=x_start, rho=0.0), stop, config)
         inner += 1
         if res.status != "converged":
@@ -299,7 +261,7 @@ def solve_binary(bp: BinaryProblem, params: Optional[FlowParams] = None,
             records.append(DeflationRecord(
                 s=len(records), x_s=x_vertex, z_s=z,
                 f_original=float(bp.f(x_vertex)),
-                native_feasible=bp.native_feasible(x_vertex),
+                native_feasible=native_feasible(bp, x_vertex),
                 status=res.status))
         if z is None:
             status = "no_neighbor"
@@ -316,7 +278,7 @@ def solve_binary(bp: BinaryProblem, params: Optional[FlowParams] = None,
                            status=status, inner_solves=inner)
 
 
-def brute_force_oracle(bp: BinaryProblem):
+def brute_force_oracle(bp: Problem):
     """Exhaustive scan of {0,1}^n filtered by the native constraints.
 
     Returns (x_best, f_best) or None when no binary point is feasible.
@@ -329,7 +291,7 @@ def brute_force_oracle(bp: BinaryProblem):
     best_x, best_f = None, np.inf
     for bits in product((0.0, 1.0), repeat=bp.n):
         x = np.array(bits)
-        if not bp.native_feasible(x):
+        if not native_feasible(bp, x):
             continue
         v = float(bp.f(x))
         if v < best_f:

@@ -106,11 +106,12 @@ def cmd_solve_qp(args) -> int:
         save_trajectory(res, args.trace)
     k = res.kkt
     line = (f"status={res.status} psi_final={res.psi:.6e} "
-            f"g_final={res.g:.6e} f_final={res.f:.9e} "
-            f"stationarity={k.stationarity:.6e} "
-            f"primal={k.primal_infeasibility:.6e} "
-            f"dual={k.dual_infeasibility:.6e} "
-            f"complementarity={k.complementarity:.6e}")
+            f"g_final={res.g:.6e} f_final={res.f:.9e}")
+    if k is not None:
+        line += (f" stationarity={k.stationarity:.6e} "
+                 f"primal={k.primal_infeasibility:.6e} "
+                 f"dual={k.dual_infeasibility:.6e} "
+                 f"complementarity={k.complementarity:.6e}")
     for w in res.warnings:
         line += f"\nwarning: {w}"
     _emit(args, line)

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PenaltyFlowError", "EvaluationError", "FactorOverflowError",
+    "EnumerationBoundError", "OracleError", "FileFormatError",
+]
+
 
 class PenaltyFlowError(Exception):
     """Base class for all package-specific errors."""

@@ -170,7 +170,8 @@ def load_mpc_scenario(path):
 
 def load_binary_problem(path):
     """Read a binary problem: n, quadratic objective (H, F), optional
-    native linear constraints (A, B). Returns BinaryProblem."""
+    native linear constraints (A, B). Returns the Problem that
+    ``binary.binary_quadratic`` builds from them."""
     from .binary import binary_quadratic
     doc = _load_json(path)
     n = _get(doc, "n", int)

@@ -185,10 +185,17 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
     failures surface as status "rhs_failure" with the detail in
     ``warnings``; any other exception raised by an evaluator propagates.
     """
-    if state0.rho < 0.0:
-        raise ValueError("initial rho must be >= 0")
-    y = np.concatenate([np.asarray(state0.x, dtype=float),
-                        [float(state0.rho)]])
+    # written so that NaN fails
+    if not 0.0 <= state0.rho < math.inf:
+        raise ValueError(f"initial rho must be finite and >= 0, "
+                         f"got {state0.rho}")
+    if not math.isfinite(state0.t):
+        raise ValueError(f"initial t must be finite, got {state0.t}")
+    x0 = np.asarray(state0.x, dtype=float)
+    if x0.shape != (problem.n,):
+        raise ValueError(f"initial x has shape {x0.shape}, "
+                         f"expected ({problem.n},)")
+    y = np.concatenate([x0, [float(state0.rho)]])
     t = float(state0.t)
     cfg = params.cfg
     rhs, jac, failure = _guarded(problem, params)
@@ -278,9 +285,12 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
 def solve(problem: Problem, params: FlowParams, state0: FlowState,
           stop: StopCriteria, config: IntegratorConfig) -> SolveResult:
     """integrate, then attach multipliers and KKT residuals at the final
-    state. The termination status is unchanged."""
+    state. The termination status is unchanged. When not even the start
+    state could be evaluated there is no final state, and mu and kkt
+    stay None."""
     result = integrate(problem, params, state0, stop, config)
-    mu = extract_multipliers(problem, result.x, result.rho, params.cfg)
-    result.mu = mu
-    result.kkt = kkt_residuals(problem, result.x, mu)
+    if len(result.trajectory):
+        result.mu = extract_multipliers(problem, result.x, result.rho,
+                                        params.cfg)
+        result.kkt = kkt_residuals(problem, result.x, result.mu)
     return result

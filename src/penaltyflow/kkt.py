@@ -25,7 +25,6 @@ class KktReport:
     dual_infeasibility is 0 by construction for extracted multipliers.
     """
 
-    mu: np.ndarray
     stationarity: float
     primal_infeasibility: float
     dual_infeasibility: float
@@ -60,8 +59,7 @@ def kkt_residuals(problem: Problem, x, mu) -> KktReport:
             f"mu has shape {mu.shape}, expected ({problem.n_c},)")
     grad = np.asarray(problem.f_x(x), dtype=float)
     if problem.n_c == 0:
-        return KktReport(mu=mu,
-                         stationarity=float(np.linalg.norm(grad)),
+        return KktReport(stationarity=float(np.linalg.norm(grad)),
                          primal_infeasibility=0.0,
                          dual_infeasibility=0.0,
                          complementarity=0.0)
@@ -69,7 +67,6 @@ def kkt_residuals(problem: Problem, x, mu) -> KktReport:
     jac = np.asarray(problem.c_x(x), dtype=float)
     stat = float(np.linalg.norm(grad + mu @ jac))
     return KktReport(
-        mu=mu,
         stationarity=stat,
         primal_infeasibility=float(np.max(np.maximum(cvals, 0.0), initial=0.0)),
         dual_infeasibility=float(np.max(np.maximum(-mu, 0.0), initial=0.0)),

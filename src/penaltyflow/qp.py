@@ -126,15 +126,13 @@ def generate_random_qp(n: int, n_c: int, seed: int):
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """Certified QP solution: primal point, objective, active set, full
-    multiplier vector, and any candidate subsets skipped for singular
-    KKT systems."""
+    """Certified QP solution: primal point, objective, active set and
+    full multiplier vector."""
 
     x_star: np.ndarray
     f_star: float
     active_set: tuple
     mu_star: np.ndarray
-    skipped_subsets: tuple = ()
 
 
 def _subset_candidate(S, W, HinvAT, x_u, c_u):
@@ -187,7 +185,7 @@ def active_set_oracle(data: QpData) -> OracleSolution:
     by increasing cardinality and lexicographic order within cardinality
     (first-found tie-break), which is the deterministic reference
     behavior. Candidate subsets with singular reduced systems are
-    skipped and recorded.
+    skipped.
 
     Requires n_c <= ORACLE_NC_MAX; raises OracleError if H is not
     positive definite or no candidate passes verification.
@@ -203,7 +201,6 @@ def active_set_oracle(data: QpData) -> OracleSolution:
     scale = 1.0 + float(np.linalg.norm(data.F)) + float(
         np.abs(data.B).max(initial=0.0)) + float(np.abs(data.H).max())
     x_u = sla.cho_solve(cho, -data.F)
-    skipped = []
 
     if data.n_c == 0:
         f_star = 0.5 * float(x_u @ data.H @ x_u) + float(data.F @ x_u)
@@ -217,7 +214,6 @@ def active_set_oracle(data: QpData) -> OracleSolution:
     def try_set(S):
         out = _subset_candidate(S, W, HinvAT, x_u, c_u)
         if out is None:
-            skipped.append(tuple(S))
             return None, None
         x, mu_S = out
         mu = _verify(data, x, S, mu_S, scale)
@@ -233,7 +229,6 @@ def active_set_oracle(data: QpData) -> OracleSolution:
         seen.add(key)
         out = _subset_candidate(S, W, HinvAT, x_u, c_u)
         if out is None:
-            skipped.append(key)
             break
         x, mu_S = out
         if len(S) and np.min(mu_S) < -_FEAS_TOL * scale:
@@ -252,8 +247,7 @@ def active_set_oracle(data: QpData) -> OracleSolution:
         if mu is not None:
             f_star = 0.5 * float(x @ data.H @ x) + float(data.F @ x)
             return OracleSolution(x_star=x, f_star=f_star,
-                                  active_set=tuple(S), mu_star=mu,
-                                  skipped_subsets=tuple(skipped))
+                                  active_set=tuple(S), mu_star=mu)
         break
 
     # exhaustive fallback: cardinality then lexicographic order
@@ -270,8 +264,7 @@ def active_set_oracle(data: QpData) -> OracleSolution:
         raise OracleError("no candidate active set passed the KKT check")
     x, f_val, S, mu = best
     return OracleSolution(x_star=x, f_star=f_val, active_set=tuple(S),
-                          mu_star=mu,
-                          skipped_subsets=tuple(dict.fromkeys(skipped)))
+                          mu_star=mu)
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +353,8 @@ def run_benchmark(count: int, n: int, n_c: int, params: FlowParams,
             row.f_flow = res.f
             row.f_oracle = oracle.f_star
             row.ratio = res.f / oracle.f_star
-            row.stationarity = res.kkt.stationarity
+            if res.kkt is not None:
+                row.stationarity = res.kkt.stationarity
             row.steps = res.accepted_steps
             row.x_flow = res.x
             row.x_oracle = oracle.x_star

@@ -324,9 +324,9 @@ def test_criterion_7_binary_deflation(binary_sweep):
     kres = pf.solve_binary(knap)
     _, kf_star = pf.brute_force_oracle(knap)
     knap_ok = (kres.best_x is not None
-               and knap.native_feasible(kres.best_x)
+               and pf.native_feasible(knap, kres.best_x)
                and kres.best_f - kf_star == 0.0)
-    feasible = all(bp.native_feasible(res.best_x)
+    feasible = all(pf.native_feasible(bp, res.best_x)
                    for _, bp, res, _ in binary_sweep)
     gaps = [res.best_f - f_star for _, _, res, f_star in binary_sweep]
     hits = sum(g == 0.0 for g in gaps)

@@ -1,5 +1,6 @@
 """Binarization, neighbor scan, deflation, and outer-loop tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,12 +25,25 @@ class TestBinaryQuadratic:
         assert bp.f(np.array([1.0, 1.0])) == -3.0
         np.testing.assert_array_equal(bp.f_x(np.zeros(2)), [-1.0, -2.0])
         assert bp.n == 2
-        assert bp.n_native == 1
+        assert bp.n_c == 1
+        np.testing.assert_array_equal(bp.c(np.array([1.0, 1.0])), [1.0])
+        np.testing.assert_array_equal(bp.hess(np.zeros(2), np.ones(1)),
+                                      np.zeros((2, 2)))
+
+    def test_without_natives(self):
+        bp = pf.binary_quadratic(np.eye(3), np.ones(3))
+        assert bp.n_c == 0
+        assert bp.c(np.ones(3)).shape == (0,)
+        assert bp.c_x(np.ones(3)).shape == (0, 3)
 
     def test_native_feasibility(self):
         bp = _knapsack()
-        assert bp.native_feasible(np.array([0.0, 1.0]))
-        assert not bp.native_feasible(np.array([1.0, 1.0]))
+        assert pf.native_feasible(bp, np.array([0.0, 1.0]))
+        assert not pf.native_feasible(bp, np.array([1.0, 1.0]))
+        assert pf.native_feasible(bp, np.array([1.0, 5e-10]))
+        assert not pf.native_feasible(bp, np.array([1.0, 5e-10]), tol=0.0)
+        free = pf.binary_quadratic(np.eye(2), np.zeros(2))
+        assert pf.native_feasible(free, np.array([5.0, -5.0]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -38,15 +52,20 @@ class TestBinaryQuadratic:
             pf.binary_quadratic(np.zeros((2, 2)), np.zeros(2),
                                 A=np.ones((1, 3)), B=np.ones(1))
         with pytest.raises(ValueError):
-            pf.BinaryProblem(n=0, f=lambda x: 0.0, f_x=lambda x: np.zeros(0))
+            pf.binary_quadratic(np.zeros((2, 2)), np.zeros(2),
+                                A=np.ones((1, 2)), B=np.ones(2))
         with pytest.raises(ValueError):
-            pf.BinaryProblem(n=2, f=lambda x: 0.0,
-                             f_x=lambda x: np.zeros(2), n_native=1)
-        with pytest.raises(ValueError):
-            # natives without their Jacobian
-            pf.BinaryProblem(n=2, f=lambda x: 0.0,
-                             f_x=lambda x: np.zeros(2), n_native=1,
-                             c_native=lambda x: np.zeros(1))
+            pf.binary_quadratic(np.zeros((0, 0)), np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["H", "F", "A", "B"])
+    def test_non_finite_entries_rejected(self, name, bad):
+        args = {"H": np.eye(2), "F": np.zeros(2),
+                "A": np.ones((1, 2)), "B": np.ones(1)}
+        args[name] = args[name].copy()
+        args[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{name} has a non-finite"):
+            pf.binary_quadratic(**args)
 
 
 class TestBinarize:
@@ -82,11 +101,17 @@ class TestBinarize:
         assert rep.worst <= 1e-5
 
     def test_objective_override(self):
-        bp = _knapsack()
-        prob = pf.binarize(bp, f=lambda x: 7.0,
-                           f_x=lambda x: np.zeros(2))
+        # deflated costs enter as the objective of the problem binarized
+        bp = dataclasses.replace(_knapsack(), f=lambda x: 7.0,
+                                 f_x=lambda x: np.zeros(2))
+        prob = pf.binarize(bp)
         assert prob.f(np.zeros(2)) == 7.0
         assert prob.n_c == 7
+
+    def test_no_hessian_hook(self):
+        # the x - x^2 block has curvature the native hook does not carry
+        assert _knapsack().hess is not None
+        assert pf.binarize(_knapsack()).hess is None
 
 
 class TestFindNeighbor:

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, reports, and trace files."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import penaltyflow as pf
+from penaltyflow import cli
 from penaltyflow.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
+from penaltyflow.errors import EvaluationError
 
 
 def _write_json(tmp_path, name, doc):
@@ -48,6 +51,20 @@ class TestSolveQp:
         rc = main(["solve-qp", _descent_qp(tmp_path), "--max-steps", "5"])
         assert rc == EXIT_SOLVER
         assert "status=step_budget_exhausted" in capsys.readouterr().out
+
+    def test_unevaluable_start(self, tmp_path, capsys, monkeypatch):
+        # a run that measured no state reports no KKT residuals
+        def failing_problem(data, cfg):
+            def c(x):
+                raise EvaluationError(0)
+            return dataclasses.replace(pf.qp_problem(data, cfg), c=c)
+
+        monkeypatch.setattr(cli, "qp_problem", failing_problem)
+        rc = main(["solve-qp", _descent_qp(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_SOLVER
+        assert out.startswith("status=rhs_failure")
+        assert "stationarity=" not in out
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve-qp", str(tmp_path / "absent.json")])

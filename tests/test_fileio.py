@@ -168,14 +168,16 @@ class TestBinaryProblemFile:
                     "A": [1.0, 1.0], "B": [1.0]})
         bp = pf.load_binary_problem(p)
         assert bp.n == 2
-        assert bp.n_native == 1
+        assert bp.n_c == 1
+        assert pf.native_feasible(bp, np.array([0.0, 1.0]))
+        assert not pf.native_feasible(bp, np.array([1.0, 1.0]))
         assert bp.f(np.array([1.0, 1.0])) == -3.0
 
     def test_without_natives(self, tmp_path):
         p = _write(tmp_path, "b.json",
                    {"n": 2, "H": [2.0, 0, 0, 2.0], "F": [0.0, 0.0]})
         bp = pf.load_binary_problem(p)
-        assert bp.n_native == 0
+        assert bp.n_c == 0
         assert bp.f(np.ones(2)) == 2.0
 
     def test_a_without_b(self, tmp_path):

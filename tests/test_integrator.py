@@ -28,6 +28,10 @@ def _const_infeasible():
                    c_x=lambda x: np.zeros((1, 1)))
 
 
+def _raise_constraint_failure(x):
+    raise EvaluationError(0)
+
+
 def _fails_past_half(exc, field="f_x"):
     # min |x|^2/2 s.t. x0 >= 1; the first call of evaluator ``field``
     # past x0 = 0.5 raises exc, later calls succeed
@@ -163,6 +167,23 @@ class TestIntegrate:
                          pf.FlowState(x=np.zeros(2), rho=-1.0),
                          pf.StopCriteria(), pf.IntegratorConfig())
 
+    @pytest.mark.parametrize("x, rho, t, field", [
+        (np.zeros(2), math.nan, 0.0, "rho"),
+        (np.zeros(2), math.inf, 0.0, "rho"),
+        (np.zeros(3), 0.0, 0.0, "x"),
+        (np.zeros(1), 0.0, 0.0, "x"),
+        (np.zeros((2, 1)), 0.0, 0.0, "x"),
+        (np.zeros(2), 0.0, math.nan, "t"),
+        (np.zeros(2), 0.0, math.inf, "t"),
+    ], ids=["rho-nan", "rho-inf", "x-long", "x-short", "x-column", "t-nan",
+            "t-inf"])
+    def test_bad_initial_state_rejected(self, halfspace_problem, x, rho, t,
+                                        field):
+        with pytest.raises(ValueError, match=f"initial {field}"):
+            pf.integrate(halfspace_problem, pf.FlowParams(),
+                         pf.FlowState(x=x, rho=rho, t=t),
+                         pf.StopCriteria(), pf.IntegratorConfig())
+
 
 class TestTrajectory:
     def test_header_layout(self):
@@ -235,6 +256,19 @@ class TestSolveAndDeterminism:
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.trajectory, b.trajectory)
         assert a.accepted_steps == b.accepted_steps
+
+    @pytest.mark.parametrize("bad_c", [_raise_constraint_failure,
+                                       lambda x: np.full(1, math.nan)],
+                             ids=["raises", "nan"])
+    def test_unevaluable_start_has_no_report(self, bad_c):
+        # no state was measured, so there is nothing to read mu off
+        bad = Problem(n=1, n_c=1, f=lambda x: 0.0,
+                      f_x=lambda x: np.zeros(1), c=bad_c,
+                      c_x=lambda x: np.ones((1, 1)))
+        res = pf.solve(bad, pf.FlowParams(), pf.FlowState(x=np.zeros(1)),
+                       pf.StopCriteria(), pf.IntegratorConfig())
+        assert res.status == "rhs_failure"
+        assert res.mu is None and res.kkt is None
 
     def test_converged_solve_has_no_warnings(self):
         # warnings carry failure detail only; a clean solve has none

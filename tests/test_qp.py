@@ -1,12 +1,17 @@
 """QP instance generation, active-set reference solver, and benchmark
 harness tests."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import penaltyflow as pf
-from penaltyflow.errors import EnumerationBoundError, OracleError
+from penaltyflow import qp
+from penaltyflow.errors import (EnumerationBoundError, EvaluationError,
+                                OracleError)
 from penaltyflow.qp import BENCH_HEADER
 
 
@@ -223,6 +228,21 @@ class TestRunBenchmark:
         for row in rep.rows:
             assert abs(row.ratio - 1.0) <= 1e-6
             assert np.linalg.norm(row.x_flow - row.x_oracle) <= 1e-3
+
+    def test_unevaluable_start_recorded(self, monkeypatch):
+        # the solver's own failure status, not an error row
+        def failing_problem(data, cfg):
+            def c(x):
+                raise EvaluationError(0)
+            return dataclasses.replace(pf.qp_problem(data, cfg), c=c)
+
+        monkeypatch.setattr(qp, "qp_problem", failing_problem)
+        rep = pf.run_benchmark(1, 2, 1, pf.FlowParams(), pf.StopCriteria(),
+                               pf.IntegratorConfig(), seed=0)
+        row = rep.rows[0]
+        assert row.status == "rhs_failure"
+        assert math.isnan(row.stationarity)
+        assert rep.failing_seeds == [0]
 
     def test_per_instance_error_capture(self):
         rep = pf.run_benchmark(1, 2, 26, pf.FlowParams(),
