@@ -15,8 +15,7 @@ from .errors import (EnumerationBoundError, EvaluationError,
                      FactorOverflowError, FileFormatError, OracleError,
                      PenaltyFlowError)
 from .problem import (GradCheckReport, PenaltyConfig, Problem,
-                      check_gradients, eval_g, eval_penalty,
-                      eval_weighted_cost, eval_weighted_grad)
+                      check_gradients, evaluate, measure_state)
 from .flow import (FlowParams, FlowState, GammaBoundInputs, exp_factor,
                    fbar_dot_identity, flow_jacobian, flow_rhs, gamma_bound,
                    series_factor)

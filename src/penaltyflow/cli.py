@@ -158,8 +158,12 @@ def cmd_mpc(args) -> int:
     if args.input:
         sc = fileio.load_mpc_scenario(args.input)
         plant = Plant(A_d=sc["A_d"], B_d=sc["B_d"])
-        pqp = condense(plant, sc["N"], sc["Q"], sc["R"], sc["P"],
-                       sc["u_max"])
+        try:
+            pqp = condense(plant, sc["N"], sc["Q"], sc["R"], sc["P"],
+                           sc["u_max"])
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_PARSE
         xi0, steps, u_max = sc["xi0"], sc["steps"], sc["u_max"]
     else:
         plant, pqp, xi0 = double_integrator_demo()
@@ -221,11 +225,11 @@ def cmd_check_grads(args) -> int:
             return EXIT_PARSE
         problem = binarize(fileio.load_binary_problem(args.input))
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.points):
-        x = rng.standard_normal(problem.n)
-        rep = check_gradients(problem, x, args.step, cfg)
-        worst = max(worst, rep.worst)
+    # np.max, unlike max, keeps a NaN deviation, which then fails the tol
+    worst = float(np.max([
+        check_gradients(problem, rng.standard_normal(problem.n), args.step,
+                        cfg).worst
+        for _ in range(args.points)]))
     print(f"worst relative deviation over {args.points} points: "
           f"{worst:.3e}")
     return EXIT_OK if worst <= args.tol else EXIT_SOLVER

@@ -1,7 +1,6 @@
 """Right-hand sides of the coupled (x, rho) flows, their exact Jacobian,
 and the related diagnostics: the truncated-series and exponential
-scaling factors, the gamma smallness bound, and the dfbar/dt identity
-used as a runtime property check.
+scaling factors, the gamma smallness bound, and the dfbar/dt identity.
 
 Both flows share the structure
 
@@ -18,8 +17,7 @@ import numpy as np
 
 from .errors import EvaluationError, FactorOverflowError
 from .problem import (PenaltyConfig, _finite, _norm, _penalty,
-                      _weighted_grad, eval_penalty, eval_weighted_grad,
-                      evaluate, penalty_weights)
+                      _weighted_grad, evaluate, penalty_weights)
 
 __all__ = [
     "FlowParams", "FlowState", "GammaBoundInputs", "series_factor",
@@ -230,16 +228,16 @@ def fbar_dot_identity(problem, state: FlowState, params: FlowParams):
         analytic  = gamma * psi^2 - factor * g^2
         assembled = <fbar_x, dx> + psi * drho
 
-    with dx, drho from flow_rhs. The closed form follows from the chain
-    rule: the factor enters linearly through dx, so the two values agree
-    to roundoff at any state. Used as a runtime property check.
+    with fbar_x and psi from one evaluation at ``state`` and dx, drho
+    from flow_rhs. The closed form follows from the chain rule: the
+    factor enters linearly through dx, so the two values agree to
+    roundoff at any state.
     """
-    cfg = params.cfg
-    fbar_x = eval_weighted_grad(problem, state.x, state.rho, cfg)
-    g = float(np.linalg.norm(fbar_x))
-    factor = _factor(g, params)
-    psi = eval_penalty(problem, state.x, cfg)
-    analytic = params.gamma * psi ** 2 - factor * g ** 2
+    grad, cvals, jac = evaluate(problem, state.x)
+    fbar_x = _weighted_grad(grad, cvals, jac, state.rho, params.m)
+    g = _norm(fbar_x)
+    psi = _penalty(cvals, params.m)
+    analytic = params.gamma * psi ** 2 - _factor(g, params) * g ** 2
 
     dx, drho = flow_rhs(problem, state, params)
     assembled = float(fbar_x @ dx) + psi * drho

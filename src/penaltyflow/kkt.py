@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import PenaltyConfig, Problem, penalty_weights
+from .problem import PenaltyConfig, Problem, _norm, evaluate, penalty_weights
 
 __all__ = ["KktReport", "extract_multipliers", "kkt_residuals"]
 
@@ -36,12 +36,11 @@ def extract_multipliers(problem: Problem, x, rho: float, cfg: PenaltyConfig):
 
     Inactive constraints (c_i < 0) get mu_i = 0; the output is always
     dual feasible. Shares its arithmetic with the weighted-cost gradient,
-    so stationarity evaluated with these multipliers reproduces
-    eval_g(problem, x, rho, cfg) bitwise.
+    so stationarity evaluated with these multipliers reproduces the g of
+    measure_state(problem, x, rho, cfg) bitwise. A non-finite evaluator
+    output at x raises EvaluationError.
     """
-    if problem.n_c == 0:
-        return np.zeros(0)
-    cvals = np.asarray(problem.c(x), dtype=float)
+    _, cvals, _ = evaluate(problem, x)
     return penalty_weights(cvals, rho, cfg.m)
 
 
@@ -52,22 +51,16 @@ def kkt_residuals(problem: Problem, x, mu) -> KktReport:
     primal_infeasibility = max_i max(0, c_i(x))
     dual_infeasibility   = max_i max(0, -mu_i)
     complementarity      = max_i |mu_i * c_i(x)|
+
+    A non-finite evaluator output at x raises EvaluationError.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (problem.n_c,):
         raise ValueError(
             f"mu has shape {mu.shape}, expected ({problem.n_c},)")
-    grad = np.asarray(problem.f_x(x), dtype=float)
-    if problem.n_c == 0:
-        return KktReport(stationarity=float(np.linalg.norm(grad)),
-                         primal_infeasibility=0.0,
-                         dual_infeasibility=0.0,
-                         complementarity=0.0)
-    cvals = np.asarray(problem.c(x), dtype=float)
-    jac = np.asarray(problem.c_x(x), dtype=float)
-    stat = float(np.linalg.norm(grad + mu @ jac))
+    grad, cvals, jac = evaluate(problem, x)
     return KktReport(
-        stationarity=stat,
+        stationarity=_norm(grad + mu @ jac),
         primal_infeasibility=float(np.max(np.maximum(cvals, 0.0), initial=0.0)),
         dual_infeasibility=float(np.max(np.maximum(-mu, 0.0), initial=0.0)),
         complementarity=float(np.max(np.abs(mu * cvals), initial=0.0)),

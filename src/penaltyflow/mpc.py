@@ -10,7 +10,7 @@ The decision vector is the stacked input sequence directly, so u(k) is
 just the first n_u components of the solution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,7 +96,8 @@ def condense(plant: Plant, N: int, Q, R, P, u_max: float) -> ParametricQp:
 
     which represents half the true cost, leaving the argmin unchanged.
     Input box constraints |u_j| <= u_max become A = [I; -I],
-    b0 = u_max * 1.
+    b0 = u_max * 1. Raises ValueError when H or F1 overflows, as it
+    does for a fast-growing plant over a long horizon.
     """
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -128,8 +129,11 @@ def condense(plant: Plant, N: int, Q, R, P, u_max: float) -> ParametricQp:
     Rbar = sla.block_diag(*([R] * N)) if N > 1 else R
 
     H = Rbar + S.T @ Qbar @ S
-    H = 0.5 * (H + H.T)
+    H = 0.5 * H + 0.5 * H.T
     F1 = S.T @ Qbar @ T
+    if not (np.isfinite(H).all() and np.isfinite(F1).all()):
+        raise ValueError(f"the QP condensed over horizon {N} has a "
+                         "non-finite entry")
     A = np.vstack([np.eye(n), -np.eye(n)])
     b0 = np.full(2 * n, float(u_max))
     return ParametricQp(H=H, F1=F1, A=A, b0=b0, N=N)
@@ -172,15 +176,28 @@ def mpc_step(pqp: ParametricQp, xi, params: FlowParams,
 @dataclass
 class ClosedLoopTrace:
     """Recorded closed-loop run: states xi[k] (pre-input), applied
-    inputs u[k], and per-step solver summaries."""
+    inputs u[k], and the SolveResult of every step, from which the
+    per-step summaries are read."""
 
     xi: np.ndarray
     u: np.ndarray
-    statuses: list
-    psi_finals: np.ndarray
-    g_finals: np.ndarray
-    steps: np.ndarray
-    results: list = field(default_factory=list)
+    results: list
+
+    @property
+    def statuses(self) -> list:
+        return [r.status for r in self.results]
+
+    @property
+    def psi_finals(self) -> np.ndarray:
+        return np.array([r.psi for r in self.results])
+
+    @property
+    def g_finals(self) -> np.ndarray:
+        return np.array([r.g for r in self.results])
+
+    @property
+    def steps(self) -> np.ndarray:
+        return np.array([r.accepted_steps for r in self.results], dtype=int)
 
     @property
     def all_converged(self) -> bool:
@@ -193,19 +210,16 @@ class ClosedLoopTrace:
                   + ",".join(f"u{i}" for i in range(n_u))
                   + ",status,psi_final,g_final,steps")
         lines = [header]
-        for k in range(self.u.shape[0]):
+        for k, (xi, u, r) in enumerate(zip(self.xi, self.u, self.results)):
             lines.append(",".join(
-                [str(k)] + [fmt(v) for v in self.xi[k]]
-                + [fmt(v) for v in self.u[k]]
-                + [self.statuses[k], fmt(self.psi_finals[k]),
-                   fmt(self.g_finals[k]), str(int(self.steps[k]))]))
+                [str(k)] + [fmt(v) for v in xi] + [fmt(v) for v in u]
+                + [r.status, fmt(r.psi), fmt(r.g), str(r.accepted_steps)]))
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def simulate_closed_loop(plant: Plant, pqp: ParametricQp, xi0, steps: int,
                          params: FlowParams, stop: StopCriteria,
-                         config: IntegratorConfig,
-                         keep_results: bool = False) -> ClosedLoopTrace:
+                         config: IntegratorConfig) -> ClosedLoopTrace:
     """Run ``steps`` control steps from xi0, warm-starting each solve
     from the previous one. Aborts early (returning the partial trace) if
     a step ends in rhs_failure.
@@ -213,26 +227,19 @@ def simulate_closed_loop(plant: Plant, pqp: ParametricQp, xi0, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     xi = np.asarray(xi0, dtype=float).copy()
-    xis, us, statuses, psis, gs, nsteps, results = [], [], [], [], [], [], []
+    xis, us, results = [], [], []
     warm = None
     for _ in range(steps):
         u, res = mpc_step(pqp, xi, params, stop, config, warm=warm)
         xis.append(xi.copy())
         us.append(np.asarray(u, dtype=float).copy())
-        statuses.append(res.status)
-        psis.append(res.psi)
-        gs.append(res.g)
-        nsteps.append(res.accepted_steps)
-        if keep_results:
-            results.append(res)
+        results.append(res)
         if res.status == "rhs_failure":
             break
         warm = res.x
         xi = plant.A_d @ xi + plant.B_d @ u
-    return ClosedLoopTrace(
-        xi=np.asarray(xis), u=np.asarray(us), statuses=statuses,
-        psi_finals=np.asarray(psis), g_finals=np.asarray(gs),
-        steps=np.asarray(nsteps, dtype=int), results=results)
+    return ClosedLoopTrace(xi=np.asarray(xis), u=np.asarray(us),
+                           results=results)
 
 
 def double_integrator_demo():

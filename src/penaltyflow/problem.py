@@ -1,6 +1,8 @@
 """Differentiable inequality-constrained problems and the exact-penalty
-machinery built on them: the penalty psi, the weighted cost fbar, its
-gradient, and the gradient norm g.
+machinery built on them: ``evaluate``, the one checked call of a
+problem's f_x, c and c_x; the penalty weights; and ``measure_state``,
+which reads the penalty psi, the gradient norm g and the objective f of
+a state off one evaluation.
 
 Constraint convention throughout the package: every constraint is stored
 as c_i(x) <= 0. Builders that accept other forms (Ax <= B, bounds) must
@@ -16,8 +18,7 @@ import numpy as np
 from .errors import EvaluationError
 
 __all__ = [
-    "Problem", "PenaltyConfig", "eval_penalty", "eval_weighted_cost",
-    "eval_weighted_grad", "eval_g", "evaluate", "measure_state",
+    "Problem", "PenaltyConfig", "evaluate", "measure_state",
     "check_gradients", "GradCheckReport",
 ]
 
@@ -85,22 +86,6 @@ def _finite(arr) -> bool:
     return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
 
 
-def _check_constraints(cvals):
-    """Raise EvaluationError naming the first non-finite constraint."""
-    cvals = np.asarray(cvals, dtype=float)
-    if cvals.size and not np.all(np.isfinite(cvals)):
-        bad = int(np.flatnonzero(~np.isfinite(cvals))[0])
-        raise EvaluationError(bad)
-    return cvals
-
-
-def _check_objective(val):
-    arr = np.asarray(val, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise EvaluationError(None)
-    return arr
-
-
 def penalty_weights(cvals, rho, m):
     """Per-constraint gradient weights rho * m * max(0, c_i)^(m-1).
 
@@ -135,10 +120,13 @@ def _weighted_grad(grad, cvals, jac, rho, m):
 def evaluate(problem: Problem, x):
     """(f_x, c, c_x) at x: one call of each evaluator, all finite.
 
-    A non-finite gradient raises EvaluationError(None); a non-finite
-    constraint value or constraint-Jacobian row raises EvaluationError
-    naming the first such constraint. For n_c = 0, c and c_x are not
-    called and come back empty.
+    The solver reads a problem's derivatives and constraints only
+    through this call: the flow, its Jacobian, the stop test and the
+    multipliers with their KKT residuals. A non-finite gradient raises
+    EvaluationError(None); a non-finite constraint value or
+    constraint-Jacobian row raises EvaluationError naming the first such
+    constraint. For n_c = 0, c and c_x are not called and come back
+    empty.
     """
     grad = np.asarray(problem.f_x(x), dtype=float)
     if not _finite(grad):
@@ -147,7 +135,7 @@ def evaluate(problem: Problem, x):
         return grad, np.zeros(0), np.zeros((0, problem.n))
     cvals = np.asarray(problem.c(x), dtype=float)
     if not _finite(cvals):
-        _check_constraints(cvals)
+        raise EvaluationError(int(np.flatnonzero(~np.isfinite(cvals))[0]))
     jac = np.asarray(problem.c_x(x), dtype=float)
     if not _finite(jac):
         rows = np.isfinite(jac).all(axis=1)
@@ -157,50 +145,28 @@ def evaluate(problem: Problem, x):
 
 
 def measure_state(problem: Problem, x, rho: float, cfg: PenaltyConfig):
-    """(psi, g, f) at (x, rho) from one evaluation of f, f_x, c and c_x;
-    the same values as eval_penalty, eval_g and f separately."""
+    """(psi, g, f) at (x, rho) from one evaluation of f, f_x, c and c_x:
+    the penalty psi = sum_i max(0, c_i)^m, zero iff x is feasible; the
+    norm g of the weighted-cost gradient
+
+        fbar_x = f_x + rho * m * sum_i max(0, c_i)^(m-1) * dc_i/dx;
+
+    and the objective f. The weighted cost itself is f + rho * psi. A
+    non-finite f raises EvaluationError(None)."""
     grad, cvals, jac = evaluate(problem, x)
-    f = float(_check_objective(problem.f(x)))
+    f = float(problem.f(x))
+    if not math.isfinite(f):
+        raise EvaluationError(None)
     g = _norm(_weighted_grad(grad, cvals, jac, rho, cfg.m))
     return _penalty(cvals, cfg.m), g, f
-
-
-def eval_penalty(problem: Problem, x, cfg: PenaltyConfig) -> float:
-    """psi(x) = sum_i max(0, c_i(x))^m; zero iff x is feasible."""
-    if problem.n_c == 0:
-        return 0.0
-    return _penalty(_check_constraints(problem.c(x)), cfg.m)
-
-
-def eval_weighted_cost(problem: Problem, x, rho: float,
-                       cfg: PenaltyConfig) -> float:
-    """fbar(x, rho) = f(x) + rho * psi(x)."""
-    fval = float(_check_objective(problem.f(x)))
-    return fval + rho * eval_penalty(problem, x, cfg)
-
-
-def eval_weighted_grad(problem: Problem, x, rho: float, cfg: PenaltyConfig):
-    """Gradient of the weighted cost,
-
-        fbar_x = f_x + rho * m * sum_i max(0, c_i)^(m-1) * dc_i/dx.
-
-    Constraints with c_i(x) < 0 contribute nothing. For m = 1 the value
-    on a constraint boundary uses the feasible-side limit (weight 0).
-    """
-    grad, cvals, jac = evaluate(problem, x)
-    return _weighted_grad(grad, cvals, jac, rho, cfg.m)
-
-
-def eval_g(problem: Problem, x, rho: float, cfg: PenaltyConfig) -> float:
-    """Euclidean norm of the weighted-cost gradient."""
-    return _norm(eval_weighted_grad(problem, x, rho, cfg))
 
 
 @dataclass(frozen=True)
 class GradCheckReport:
     """Worst relative deviations between analytic and central-difference
     derivatives; relative error is ||a - fd|| / max(1, ||fd||).
-    hess_error is 0 for a problem without a Hessian hook."""
+    hess_error is 0 for a problem without a Hessian hook. worst is NaN
+    when any deviation is."""
 
     f_x_error: float
     c_x_error: float
@@ -208,8 +174,8 @@ class GradCheckReport:
     worst: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "worst", max(
-            self.f_x_error, self.c_x_error, self.hess_error))
+        object.__setattr__(self, "worst", float(np.max(
+            [self.f_x_error, self.c_x_error, self.hess_error])))
 
 
 def _central_diff(fun, x, step):
@@ -237,10 +203,11 @@ def check_gradients(problem: Problem, x, step: float,
     f_x + w'c_x, with the fixed distinct weights w_i = 1 + i / n_c so
     that every constraint's curvature counts. Informational only; never
     raises on a bad derivative, the report is the diagnostic. ``step``
-    must be positive.
+    must be finite and positive.
     """
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
+    # written so that NaN fails
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be finite and > 0")
     x = np.asarray(x, dtype=float)
 
     err_f = _rel_error(problem.f_x(x), _central_diff(problem.f, x, step))

@@ -48,8 +48,10 @@ class QpData:
     B: np.ndarray
 
     def __post_init__(self):
-        H = 0.5 * (np.asarray(self.H, dtype=float)
-                   + np.asarray(self.H, dtype=float).T)
+        # halving first keeps every finite H finite; away from the
+        # subnormal range it gives the same bits as 0.5 * (H + H.T)
+        H = np.asarray(self.H, dtype=float)
+        H = 0.5 * H + 0.5 * H.T
         F = np.asarray(self.F, dtype=float)
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)

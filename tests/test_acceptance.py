@@ -297,8 +297,7 @@ def test_benchmark_work_budget(bench_report):
 def test_criterion_6_mpc_closed_loop():
     plant, pqp, xi0 = pf.double_integrator_demo()
     trace = pf.simulate_closed_loop(plant, pqp, xi0, 60, pf.FlowParams(),
-                                    pf.DEMO_STOP, pf.IntegratorConfig(),
-                                    keep_results=True)
+                                    pf.DEMO_STOP, pf.IntegratorConfig())
     norms = np.linalg.norm(trace.xi, axis=1)
     settled = np.where(norms <= 1e-2)[0]
     final = plant.A_d @ trace.xi[-1] + plant.B_d @ trace.u[-1]

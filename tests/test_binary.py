@@ -10,7 +10,7 @@ import penaltyflow as pf
 from penaltyflow import binary
 from penaltyflow.binary import BINARY_Q
 from penaltyflow.errors import EnumerationBoundError
-from penaltyflow.problem import PenaltyConfig, check_gradients, eval_penalty
+from penaltyflow.problem import PenaltyConfig, check_gradients, measure_state
 
 
 def _knapsack():
@@ -75,13 +75,15 @@ class TestBinarize:
 
     def test_binary_point_has_zero_penalty(self):
         prob = pf.binarize(_knapsack())
-        assert eval_penalty(prob, np.array([0.0, 1.0]),
-                            PenaltyConfig(m=2)) == 0.0
+        psi, _, _ = measure_state(prob, np.array([0.0, 1.0]), 0.0,
+                                  PenaltyConfig(m=2))
+        assert psi == 0.0
 
     def test_interior_point_penalty_value(self):
         # only x0 - x0^2 = 0.25 is active at (0.5, 0)
         prob = pf.binarize(_knapsack())
-        psi = eval_penalty(prob, np.array([0.5, 0.0]), PenaltyConfig(m=2))
+        psi, _, _ = measure_state(prob, np.array([0.5, 0.0]), 0.0,
+                                  PenaltyConfig(m=2))
         assert psi == 0.0625
 
     def test_constraint_order(self):

@@ -206,6 +206,13 @@ class TestCheckGrads:
                    "--points", "2", "--tol", "1e-300"])
         assert rc == EXIT_SOLVER
 
+    def test_nan_deviation_fails(self, tmp_path, capsys):
+        # f = 1e308 x^2 overflows, so every deviation is NaN
+        path = _write_json(tmp_path, "qp.json", {**_QP_DOC, "H": [1e308]})
+        rc = main(["check-grads", path, "--points", "3"])
+        assert rc == EXIT_SOLVER
+        assert "deviation over 3 points: nan" in capsys.readouterr().out
+
 
 class TestParser:
     def test_no_subcommand(self, capsys):
@@ -299,6 +306,27 @@ class TestMalformedFiles:
                    "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_PARSE
         assert f"bad or missing field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, code", [
+        # the flow converges at its start x = 0
+        ("solve-qp", {**_QP_DOC, "H": [1e308]}, EXIT_OK),
+        # f overflows on every inner solve, so no vertex is found
+        ("minlp", {**_BINARY_DOC, "H": [1e308, 0.0, 0.0, 1e308]},
+         EXIT_SOLVER),
+        # A_d^2 = 1e400: the condensed QP overflows
+        ("mpc", _mpc_doc(plant={"n_xi": 1, "n_u": 1, "A_d": [1e200],
+                                "B_d": [1.0]}, horizon=3), EXIT_PARSE),
+    ], ids=["qp", "binary", "mpc"])
+    def test_huge_finite_entries(self, tmp_path, capsys, command, doc,
+                                 code):
+        # finite entries whose sums overflow end in an exit code, never
+        # in a traceback
+        rc = main([command, _write_json(tmp_path, "in.json", doc),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == code
+        if code == EXIT_PARSE:
+            assert "error: the QP condensed over horizon 3" \
+                in capsys.readouterr().err
 
 
 # optional fields, whose absence is valid

@@ -105,18 +105,18 @@ class TestFlowRhs:
 
     def test_dx_antiparallel_to_gradient(self, halfspace_problem):
         rng = np.random.default_rng(4)
-        from penaltyflow import eval_weighted_grad
         for mode in ("truncated", "exponential"):
             params = FlowParams(mode=mode)
             for _ in range(10):
                 x = rng.uniform(-2.0, 2.0, size=2)
                 rho = float(rng.uniform(0.0, 4.0))
-                fbar_x = eval_weighted_grad(halfspace_problem, x, rho,
-                                            params.cfg)
+                state = FlowState(x=x, rho=rho)
+                # with q = 1 the factor is 1, so dx = -fbar_x exactly
+                fbar_x = -flow_rhs(halfspace_problem, state,
+                                   FlowParams(q=1))[0]
                 if np.linalg.norm(fbar_x) == 0.0:
                     continue
-                dx, _ = flow_rhs(halfspace_problem,
-                                 FlowState(x=x, rho=rho), params)
+                dx, _ = flow_rhs(halfspace_problem, state, params)
                 cos = float(dx @ fbar_x) / (np.linalg.norm(dx)
                                             * np.linalg.norm(fbar_x))
                 np.testing.assert_allclose(cos, -1.0, rtol=1e-12)

@@ -1,10 +1,12 @@
 """Multiplier extraction and KKT residual tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import penaltyflow as pf
-from penaltyflow.problem import PenaltyConfig, eval_g
+from penaltyflow.problem import PenaltyConfig, measure_state
 
 
 def _quad_problem(H, F, A=None, B=None):
@@ -53,7 +55,8 @@ class TestExtractMultipliers:
             assert np.all(mu >= 0.0)
 
     def test_stationarity_matches_g(self, halfspace_problem):
-        # penalty-gradient identity: ||f_x + mu @ c_x|| == g(x, rho)
+        # penalty-gradient identity: ||f_x + mu @ c_x|| == g(x, rho),
+        # bit for bit
         cfg = PenaltyConfig(m=2)
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -61,8 +64,8 @@ class TestExtractMultipliers:
             rho = float(rng.uniform(0.0, 1e4))
             mu = pf.extract_multipliers(halfspace_problem, x, rho, cfg)
             rep = pf.kkt_residuals(halfspace_problem, x, mu)
-            g = eval_g(halfspace_problem, x, rho, cfg)
-            np.testing.assert_allclose(rep.stationarity, g, rtol=1e-12)
+            _, g, _ = measure_state(halfspace_problem, x, rho, cfg)
+            assert rep.stationarity == g
 
 
 class TestKktResiduals:
@@ -108,6 +111,18 @@ class TestKktResiduals:
     def test_mu_shape_mismatch_raises(self, halfspace_problem):
         with pytest.raises(ValueError):
             pf.kkt_residuals(halfspace_problem, np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", ["c", "c_x"])
+    def test_nonfinite_evaluator_raises(self, halfspace_problem, bad):
+        # at the final state as anywhere else: no NaN residuals
+        nan = {"c": lambda x: np.full(1, np.nan),
+               "c_x": lambda x: np.full((1, 2), np.nan)}
+        prob = dataclasses.replace(halfspace_problem, **{bad: nan[bad]})
+        with pytest.raises(pf.EvaluationError) as exc:
+            pf.kkt_residuals(prob, np.zeros(2), np.ones(1))
+        assert exc.value.index == 0
+        with pytest.raises(pf.EvaluationError):
+            pf.extract_multipliers(prob, np.zeros(2), 1.0, PenaltyConfig())
 
     def test_residuals_nonnegative_random(self, halfspace_problem):
         rng = np.random.default_rng(19)

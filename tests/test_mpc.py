@@ -25,8 +25,7 @@ def demo_trace(demo):
     plant, pqp, xi0 = demo
     return pf.simulate_closed_loop(plant, pqp, xi0, steps=60,
                                    params=pf.FlowParams(), stop=pf.DEMO_STOP,
-                                   config=pf.IntegratorConfig(),
-                                   keep_results=True)
+                                   config=pf.IntegratorConfig())
 
 
 class TestPlant:
@@ -101,6 +100,13 @@ class TestCondense:
         with pytest.raises(ValueError):
             pf.condense(plant, N=2, Q=np.eye(2), R=np.eye(1),
                         P=np.eye(2), u_max=-1.0)
+
+    def test_overflow_refused(self):
+        # A_d^2 = 1e400 overflows in the prediction matrices
+        plant = pf.Plant(A_d=np.array([[1e200]]), B_d=np.ones((1, 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            pf.condense(plant, N=3, Q=np.eye(1), R=np.eye(1),
+                        P=np.eye(1), u_max=1.0)
 
 
 class TestInstantiate:
@@ -229,6 +235,17 @@ class TestSimulateClosedLoop:
                                     params=pf.FlowParams(),
                                     stop=pf.DEMO_STOP,
                                     config=pf.IntegratorConfig())
+
+    def test_summaries_read_off_results(self, demo_trace):
+        results = demo_trace.results
+        assert len(results) == demo_trace.u.shape[0] == 60
+        assert demo_trace.statuses == [r.status for r in results]
+        np.testing.assert_array_equal(demo_trace.psi_finals,
+                                      [r.psi for r in results])
+        np.testing.assert_array_equal(demo_trace.g_finals,
+                                      [r.g for r in results])
+        np.testing.assert_array_equal(demo_trace.steps,
+                                      [r.accepted_steps for r in results])
 
     def test_trace_csv_layout(self, demo_trace, tmp_path):
         path = tmp_path / "trace.csv"

@@ -1,14 +1,18 @@
-"""Penalty evaluation, weighted cost and gradient, and the
-finite-difference gradient checker."""
+"""The state measure (psi, g, f), the weighted cost and its gradient as
+the solver computes them, and the finite-difference gradient checker.
+
+psi, g and f come from ``measure_state``, the weighted cost is
+f + rho * psi, and the gradient fbar_x is read off ``flow_rhs`` with
+q = 1, where dx = -fbar_x exactly. The class names keep the quantity
+each class tests."""
 
 import numpy as np
 import pytest
 
-from penaltyflow import (EvaluationError, PenaltyConfig, Problem,
-                         check_gradients, eval_g, eval_penalty,
-                         eval_weighted_cost, eval_weighted_grad,
+from penaltyflow import (EvaluationError, FlowParams, FlowState,
+                         PenaltyConfig, Problem, check_gradients, flow_rhs,
                          generate_random_qp, qp_problem)
-from penaltyflow.problem import penalty_weights
+from penaltyflow.problem import measure_state, penalty_weights
 
 M2 = PenaltyConfig(m=2)
 
@@ -33,13 +37,32 @@ def _quad(n):
         c_x=lambda x: np.zeros((0, n)))
 
 
+def _psi(prob, x):
+    return measure_state(prob, x, 0.0, M2)[0]
+
+
+def _g(prob, x, rho):
+    return measure_state(prob, x, rho, M2)[1]
+
+
+def _fbar(prob, x, rho):
+    psi, _, f = measure_state(prob, x, rho, M2)
+    return f + rho * psi
+
+
+def _fbar_x(prob, x, rho):
+    # the series factor of order 1 is the constant 1
+    dx, _ = flow_rhs(prob, FlowState(x=x, rho=rho), FlowParams(q=1, m=2))
+    return -dx
+
+
 class TestEvalPenalty:
     def test_active_single_constraint(self):
         """c = x - 1, m = 2, x = 2: max(0, 1)^2 = 1."""
-        assert eval_penalty(_scalar_boundary(), np.array([2.0]), M2) == 1.0
+        assert _psi(_scalar_boundary(), np.array([2.0])) == 1.0
 
     def test_inactive_constraint_is_zero(self):
-        assert eval_penalty(_scalar_boundary(), np.array([0.0]), M2) == 0.0
+        assert _psi(_scalar_boundary(), np.array([0.0])) == 0.0
 
     def test_two_constraint_sum(self):
         """c1 = x1 - 1, c2 = -x2 at x = (3, -2), recomputed term by term."""
@@ -51,29 +74,29 @@ class TestEvalPenalty:
         x = np.array([3.0, -2.0])
         expected = sum(max(0.0, ci) ** 2 for ci in (x[0] - 1.0, -x[1]))
         assert expected == 8.0
-        np.testing.assert_allclose(eval_penalty(prob, x, M2), expected,
-                                   rtol=1e-15)
+        np.testing.assert_allclose(_psi(prob, x), expected, rtol=1e-15)
 
     def test_zero_iff_feasible(self, halfspace_problem):
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.uniform(-2.0, 3.0, size=2)
-            psi = eval_penalty(halfspace_problem, x, M2)
+            psi = _psi(halfspace_problem, x)
             assert psi >= 0.0
             feasible = x[0] >= 1.0
             assert (psi == 0.0) == feasible
 
     def test_no_constraints(self):
-        assert eval_penalty(_quad(3), np.ones(3), M2) == 0.0
+        assert _psi(_quad(3), np.ones(3)) == 0.0
 
     def test_nonfinite_constraint_raises_with_index(self):
+        # the first non-finite constraint is named
         prob = Problem(
-            n=1, n_c=2,
+            n=1, n_c=3,
             f=lambda x: 0.0, f_x=lambda x: np.zeros(1),
-            c=lambda x: np.array([0.0, np.nan]),
-            c_x=lambda x: np.zeros((2, 1)))
-        with pytest.raises(EvaluationError) as exc:
-            eval_penalty(prob, np.zeros(1), M2)
+            c=lambda x: np.array([0.0, np.nan, np.inf]),
+            c_x=lambda x: np.zeros((3, 1)))
+        with pytest.raises(EvaluationError, match="constraint 1") as exc:
+            measure_state(prob, np.zeros(1), 0.0, M2)
         assert exc.value.index == 1
 
 
@@ -82,14 +105,14 @@ class TestEvalWeightedCost:
         prob = _quad(2)
         x = np.array([1.0, 1.0])
         for rho in (0.0, 1.0, 1e6):
-            assert eval_weighted_cost(prob, x, rho, M2) == 1.0
+            assert _fbar(prob, x, rho) == 1.0
 
     def test_pure_penalty(self):
         prob = _scalar_boundary()
-        assert eval_weighted_cost(prob, np.array([2.0]), 10.0, M2) == 10.0
+        assert _fbar(prob, np.array([2.0]), 10.0) == 10.0
 
     def test_objective_plus_penalty(self, halfspace_problem):
-        val = eval_weighted_cost(halfspace_problem, np.zeros(2), 5.0, M2)
+        val = _fbar(halfspace_problem, np.zeros(2), 5.0)
         assert val == 5.0
 
     def test_rho_zero_is_exactly_f(self):
@@ -97,7 +120,7 @@ class TestEvalWeightedCost:
         rng = np.random.default_rng(11)
         for _ in range(10):
             x = rng.standard_normal(4)
-            assert eval_weighted_cost(prob, x, 0.0, M2) == prob.f(x)
+            assert _fbar(prob, x, 0.0) == prob.f(x)
 
     def test_nonfinite_objective_raises(self):
         prob = Problem(n=1, n_c=0, f=lambda x: np.inf,
@@ -105,27 +128,26 @@ class TestEvalWeightedCost:
                        c=lambda x: np.zeros(0),
                        c_x=lambda x: np.zeros((0, 1)))
         with pytest.raises(EvaluationError) as exc:
-            eval_weighted_cost(prob, np.zeros(1), 1.0, M2)
+            measure_state(prob, np.zeros(1), 1.0, M2)
         assert exc.value.index is None
 
 
 class TestEvalWeightedGrad:
     def test_unconstrained_is_objective_gradient(self):
-        grad = eval_weighted_grad(_quad(2), np.array([3.0, 4.0]), 7.0, M2)
+        grad = _fbar_x(_quad(2), np.array([3.0, 4.0]), 7.0)
         np.testing.assert_array_equal(grad, [3.0, 4.0])
 
     def test_scalar_chain_rule(self):
         """c = x - 1, m = 2, rho = 1, x = 3: 2 * (3 - 1) * 1 = 4."""
-        grad = eval_weighted_grad(_scalar_boundary(), np.array([3.0]),
-                                  1.0, M2)
+        grad = _fbar_x(_scalar_boundary(), np.array([3.0]), 1.0)
         np.testing.assert_allclose(grad, [4.0], rtol=1e-15)
 
     def test_halfspace_origin(self, halfspace_problem):
-        grad = eval_weighted_grad(halfspace_problem, np.zeros(2), 5.0, M2)
+        grad = _fbar_x(halfspace_problem, np.zeros(2), 5.0)
         np.testing.assert_allclose(grad, [-10.0, 0.0], rtol=1e-15)
 
     def test_matches_finite_difference_of_cost(self, halfspace_problem):
-        """Central differences of eval_weighted_cost reproduce the
+        """Central differences of the weighted cost reproduce the
         analytic gradient away from the constraint boundary."""
         rng = np.random.default_rng(5)
         step = 1e-6
@@ -134,14 +156,14 @@ class TestEvalWeightedGrad:
             if abs(1.0 - x[0]) <= 1e-2:
                 continue
             rho = float(rng.uniform(0.0, 10.0))
-            an = eval_weighted_grad(halfspace_problem, x, rho, M2)
+            an = _fbar_x(halfspace_problem, x, rho)
             fd = np.zeros(2)
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = step
-                fd[j] = (eval_weighted_cost(halfspace_problem, x + e, rho, M2)
-                         - eval_weighted_cost(halfspace_problem, x - e,
-                                              rho, M2)) / (2.0 * step)
+                fd[j] = (_fbar(halfspace_problem, x + e, rho)
+                         - _fbar(halfspace_problem, x - e, rho)) \
+                    / (2.0 * step)
             np.testing.assert_allclose(an, fd, rtol=1e-5, atol=1e-8)
 
     def test_nonfinite_constraint_jacobian_raises_with_index(self):
@@ -152,12 +174,12 @@ class TestEvalWeightedGrad:
             c=lambda x: np.array([-1.0, -1.0]),
             c_x=lambda x: np.array([[1.0, 0.0], [0.0, np.inf]]))
         with pytest.raises(EvaluationError) as exc:
-            eval_weighted_grad(prob, np.zeros(2), 1.0, M2)
+            _fbar_x(prob, np.zeros(2), 1.0)
         assert exc.value.index == 1
 
     def test_inactive_constraints_contribute_nothing(self, halfspace_problem):
         x = np.array([2.0, 0.5])
-        grad = eval_weighted_grad(halfspace_problem, x, 1e8, M2)
+        grad = _fbar_x(halfspace_problem, x, 1e8)
         np.testing.assert_array_equal(grad, x)
 
     def test_penalty_gradient_vanishes_at_boundary(self):
@@ -167,7 +189,7 @@ class TestEvalWeightedGrad:
         mags = []
         for k in range(1, 9):
             x = np.array([1.0 + 10.0 ** -k])
-            grad = eval_weighted_grad(prob, x, 1.0, M2)
+            grad = _fbar_x(prob, x, 1.0)
             mags.append(abs(float(grad[0])))
         assert all(b < a for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 1e-7
@@ -185,14 +207,14 @@ class TestPenaltyWeights:
 
 class TestEvalG:
     def test_euclidean_norm(self):
-        assert eval_g(_quad(2), np.array([3.0, 4.0]), 0.0, M2) == 5.0
+        assert _g(_quad(2), np.array([3.0, 4.0]), 0.0) == 5.0
 
     def test_zero_at_stationary_point(self):
-        assert eval_g(_quad(2), np.zeros(2), 0.0, M2) == 0.0
+        assert _g(_quad(2), np.zeros(2), 0.0) == 0.0
 
     def test_halfspace_origin(self, halfspace_problem):
         np.testing.assert_allclose(
-            eval_g(halfspace_problem, np.zeros(2), 5.0, M2), 10.0,
+            _g(halfspace_problem, np.zeros(2), 5.0), 10.0,
             rtol=1e-15)
 
 
@@ -222,6 +244,23 @@ class TestCheckGradients:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             check_gradients(_quad(2), np.zeros(2), 0.0, M2)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf])
+    def test_step_must_be_finite(self, step):
+        with pytest.raises(ValueError, match="step"):
+            check_gradients(_quad(2), np.zeros(2), step, M2)
+
+    def test_nan_deviation_makes_worst_nan(self):
+        # a NaN Jacobian entry; max() would keep the finite f_x_error
+        prob = Problem(
+            n=1, n_c=1,
+            f=lambda x: float(np.sin(x[0])),
+            f_x=lambda x: np.array([np.cos(x[0])]),
+            c=lambda x: np.asarray(x, dtype=float),
+            c_x=lambda x: np.array([[np.nan]]))
+        rep = check_gradients(prob, np.array([0.3]), 1e-6, M2)
+        assert 0.0 < rep.f_x_error < 1e-6
+        assert np.isnan(rep.c_x_error) and np.isnan(rep.worst)
 
     def test_report_worst_is_max_of_fields(self):
         rep = check_gradients(_quad(2), np.ones(2), 1e-6, M2)
