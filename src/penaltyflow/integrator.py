@@ -1,14 +1,16 @@
 """Flow integration with event-based stopping and trajectory sampling,
 wrapped into the top-level ``solve``.
 
-The flow is stepped by scipy's BDF, a variable-order implicit multistep
-method, driven one accepted step at a time. The penalty Hessian scale
-grows like rho along the flow, so reaching the asymptotic regime (psi
-below 1e-8 at gamma = 1e-6 means flow times beyond 1e15) is only
+The flow is stepped by ``bdf.BDF``, the package's port of scipy's
+variable-order BDF/NDF method (Shampine & Reichelt, "The MATLAB ODE
+Suite", 1997), driven one accepted step at a time. The penalty Hessian
+scale grows like rho along the flow, so reaching the asymptotic regime
+(psi below 1e-8 at gamma = 1e-6 means flow times beyond 1e15) is only
 practical for a stiff method whose steps grow geometrically. When the
 problem has a Hessian hook the stepper gets the exact flow Jacobian;
-otherwise it estimates the Jacobian by finite differences of the
-right-hand side. If the stepper stalls it is rebuilt from the last
+otherwise it estimates the Jacobian by forward differences of the
+right-hand side. The first step is 1e-6, or the rest of the horizon
+when that is shorter. If the stepper stalls it is rebuilt from the last
 accepted state; rebuilds that make no forward progress terminate the
 run.
 
@@ -23,12 +25,13 @@ The integrand state is packed as y = [x_0 .. x_{n-1}, rho].
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import BDF
 
+from .bdf import BDF
 from .errors import EvaluationError, FactorOverflowError
 from .flow import FlowParams, FlowState, flow_jacobian, flow_rhs
 from .kkt import KktReport, extract_multipliers, kkt_residuals
@@ -43,11 +46,16 @@ __all__ = [
 # pathological stepper-stall ceiling; each restart must advance t
 _MAX_RESTARTS = 100
 
-# first BDF step size; the stepper grows it geometrically from here
+# first BDF step size, cut to the remaining horizon; the stepper grows it
+# geometrically from here
 _FIRST_STEP = 1e-6
 
 # the trajectory keeps every this-many-th accepted step
 _SAMPLE_STRIDE = 10
+
+# below this the local error test asks for less than round-off, and the
+# Newton tolerance of the stepper would sit at round-off level
+_RTOL_MIN = 100 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValueError("rtol and atol must be finite and > 0")
+        if self.rtol < _RTOL_MIN:
+            raise ValueError(f"rtol must be >= 100 * machine epsilon = "
+                             f"{_RTOL_MIN:g}, got {self.rtol:g}")
 
 
 @dataclass
@@ -184,6 +195,8 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
     step plus the initial and final states. Evaluator and overflow
     failures surface as status "rhs_failure" with the detail in
     ``warnings``; any other exception raised by an evaluator propagates.
+    The flow runs forward in time only: a start past ``stop.t_max`` is
+    refused with ValueError, and a start at it ends in "t_max_reached".
     """
     # written so that NaN fails
     if not 0.0 <= state0.rho < math.inf:
@@ -191,6 +204,9 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
                          f"got {state0.rho}")
     if not math.isfinite(state0.t):
         raise ValueError(f"initial t must be finite, got {state0.t}")
+    if state0.t > stop.t_max:
+        raise ValueError(f"initial t = {state0.t} is past t_max = "
+                         f"{stop.t_max}")
     x0 = np.asarray(state0.x, dtype=float)
     if x0.shape != (problem.n,):
         raise ValueError(f"initial x has shape {x0.shape}, "
@@ -220,19 +236,24 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
     rows = [row]
     accepted = 0
     warnings = []
-    status = "converged" if done(row) else None
+    if done(row):
+        status = "converged"
+    elif t == stop.t_max:
+        status = "t_max_reached"
+    else:
+        status = None
 
     restarts = 0
     t_anchor = t
     while status is None:
         stepper = BDF(rhs, t, y, t_bound=stop.t_max, jac=jac,
                       rtol=config.rtol, atol=config.atol,
-                      first_step=_FIRST_STEP)
+                      first_step=min(_FIRST_STEP, stop.t_max - t))
         while status is None and stepper.status == "running":
             try:
                 stepper.step()
-            except Exception:
-                # the NaN output of a flagged RHS can make scipy raise;
+            except ValueError:
+                # the NaN output of a flagged RHS makes the LU refuse it;
                 # any other raise is a fault in the evaluators
                 if failure["exc"] is None:
                     raise

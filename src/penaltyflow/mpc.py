@@ -115,22 +115,24 @@ def condense(plant: Plant, N: int, Q, R, P, u_max: float) -> ParametricQp:
     n = N * n_u
     T = np.zeros((N * n_xi, n_xi))
     S = np.zeros((N * n_xi, n))
-    Apow = np.eye(n_xi)
-    for k in range(N):
-        Apow = plant.A_d @ Apow
-        T[k * n_xi:(k + 1) * n_xi] = Apow
-    for j in range(N):
-        blk = plant.B_d.copy()
-        for k in range(j, N):
-            S[k * n_xi:(k + 1) * n_xi, j * n_u:(j + 1) * n_u] = blk
-            blk = plant.A_d @ blk
-    Qbar = sla.block_diag(*([Q] * (N - 1) + [Q + P])) if N > 1 \
-        else (Q + P)
-    Rbar = sla.block_diag(*([R] * N)) if N > 1 else R
+    # an overflow here is refused right below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        Apow = np.eye(n_xi)
+        for k in range(N):
+            Apow = plant.A_d @ Apow
+            T[k * n_xi:(k + 1) * n_xi] = Apow
+        for j in range(N):
+            blk = plant.B_d.copy()
+            for k in range(j, N):
+                S[k * n_xi:(k + 1) * n_xi, j * n_u:(j + 1) * n_u] = blk
+                blk = plant.A_d @ blk
+        Qbar = sla.block_diag(*([Q] * (N - 1) + [Q + P])) if N > 1 \
+            else (Q + P)
+        Rbar = sla.block_diag(*([R] * N)) if N > 1 else R
 
-    H = Rbar + S.T @ Qbar @ S
-    H = 0.5 * H + 0.5 * H.T
-    F1 = S.T @ Qbar @ T
+        H = Rbar + S.T @ Qbar @ S
+        H = 0.5 * H + 0.5 * H.T
+        F1 = S.T @ Qbar @ T
     if not (np.isfinite(H).all() and np.isfinite(F1).all()):
         raise ValueError(f"the QP condensed over horizon {N} has a "
                          "non-finite entry")

@@ -42,8 +42,10 @@ class Problem:
         Hessian of the Lagrangian, hess(x, w) -> (n, n), the matrix
         nabla^2 f(x) + sum_i w_i nabla^2 c_i(x) for weights w of length
         n_c. When given, the integrator steps with the exact Jacobian of
-        the flow; without it the stepper estimates the Jacobian by finite
-        differences of the right-hand side.
+        the flow; without it the BDF stepper estimates the Jacobian by
+        forward differences of the right-hand side, at n + 2 right-hand
+        side evaluations per estimate (more when a column is retried
+        with a larger step).
 
     Evaluators must be total on R^n (finite output for finite input) and
     are treated as read-only; nothing here mutates the problem.
@@ -152,12 +154,17 @@ def measure_state(problem: Problem, x, rho: float, cfg: PenaltyConfig):
         fbar_x = f_x + rho * m * sum_i max(0, c_i)^(m-1) * dc_i/dx;
 
     and the objective f. The weighted cost itself is f + rho * psi. A
-    non-finite f raises EvaluationError(None)."""
+    non-finite f raises EvaluationError(None), and so does a g that
+    overflows."""
     grad, cvals, jac = evaluate(problem, x)
     f = float(problem.f(x))
     if not math.isfinite(f):
         raise EvaluationError(None)
-    g = _norm(_weighted_grad(grad, cvals, jac, rho, cfg.m))
+    fbar_x = _weighted_grad(grad, cvals, jac, rho, cfg.m)
+    with np.errstate(over="ignore"):
+        g = _norm(fbar_x)
+    if not math.isfinite(g):
+        raise EvaluationError(None, "gradient norm")
     return _penalty(cvals, cfg.m), g, f
 
 
@@ -190,8 +197,10 @@ def _central_diff(fun, x, step):
 
 
 def _rel_error(analytic, fd) -> float:
-    return float(np.linalg.norm(np.asarray(analytic, dtype=float) - fd)
-                 / max(1.0, float(np.linalg.norm(fd))))
+    # an overflowing deviation reads NaN or inf, which the report carries
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(np.asarray(analytic, dtype=float) - fd)
+                     / max(1.0, float(np.linalg.norm(fd))))
 
 
 def check_gradients(problem: Problem, x, step: float,

@@ -206,6 +206,7 @@ class TestCheckGrads:
                    "--points", "2", "--tol", "1e-300"])
         assert rc == EXIT_SOLVER
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_deviation_fails(self, tmp_path, capsys):
         # f = 1e308 x^2 overflows, so every deviation is NaN
         path = _write_json(tmp_path, "qp.json", {**_QP_DOC, "H": [1e308]})
@@ -233,13 +234,19 @@ class TestParser:
         ["--gamma", "inf"], ["--t-max", "nan"], ["--lambda", "nan"],
         ["--lambda", "inf"], ["--rtol", "nan"], ["--rtol", "inf"],
         ["--atol", "nan"], ["--atol", "inf"], ["--eps-psi", "nan"],
-        ["--eps-g", "nan"], ["--rho-max", "nan"],
+        ["--eps-g", "nan"], ["--rho-max", "nan"], ["--rtol", "1e-16"],
     ])
     def test_rejected_config_value(self, tmp_path, capsys, flags):
         # parsed fine, refused by the config dataclass: still exit 2
         assert main(["solve-qp", _descent_qp(tmp_path), *flags]) \
             == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
+
+    def test_horizon_shorter_than_first_step(self, tmp_path, capsys):
+        # the first step is cut to the horizon
+        rc = main(["solve-qp", _descent_qp(tmp_path), "--t-max", "1e-7"])
+        assert rc == EXIT_SOLVER
+        assert "status=t_max_reached" in capsys.readouterr().out
 
     def test_infinite_horizons_accepted(self, tmp_path, capsys):
         rc = main(["solve-qp", _descent_qp(tmp_path), "--t-max", "inf",
@@ -317,10 +324,11 @@ class TestMalformedFiles:
         ("mpc", _mpc_doc(plant={"n_xi": 1, "n_u": 1, "A_d": [1e200],
                                 "B_d": [1.0]}, horizon=3), EXIT_PARSE),
     ], ids=["qp", "binary", "mpc"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_entries(self, tmp_path, capsys, command, doc,
                                  code):
         # finite entries whose sums overflow end in an exit code, never
-        # in a traceback
+        # in a traceback, and print no numpy warning ahead of it
         rc = main([command, _write_json(tmp_path, "in.json", doc),
                    "--report", str(tmp_path / "r.csv")])
         assert rc == code

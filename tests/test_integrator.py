@@ -184,6 +184,20 @@ class TestIntegrate:
                          pf.FlowState(x=x, rho=rho, t=t),
                          pf.StopCriteria(), pf.IntegratorConfig())
 
+    def test_start_past_horizon_rejected(self, halfspace_problem):
+        # stepping would run the flow backward in time
+        with pytest.raises(ValueError, match="initial t"):
+            pf.integrate(halfspace_problem, pf.FlowParams(),
+                         pf.FlowState(x=np.zeros(2), t=10.0),
+                         pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
+
+    def test_start_at_horizon(self, halfspace_problem):
+        res = pf.integrate(halfspace_problem, pf.FlowParams(),
+                           pf.FlowState(x=np.zeros(2), t=1.0),
+                           pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
+        assert res.status == "t_max_reached"
+        assert res.accepted_steps == 0 and res.t == 1.0
+
 
 class TestTrajectory:
     def test_header_layout(self):
@@ -284,6 +298,9 @@ class TestConfigValidation:
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
             pf.IntegratorConfig(rtol=0.0)
+        # below 100 eps, refused with the bound, not raised to it
+        with pytest.raises(ValueError, match="2.22045e-14"):
+            pf.IntegratorConfig(rtol=1e-16)
         with pytest.raises(ValueError):
             pf.StopCriteria(eps_psi=0.0)
         with pytest.raises(ValueError):

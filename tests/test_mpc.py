@@ -101,6 +101,7 @@ class TestCondense:
             pf.condense(plant, N=2, Q=np.eye(2), R=np.eye(1),
                         P=np.eye(2), u_max=-1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_refused(self):
         # A_d^2 = 1e400 overflows in the prediction matrices
         plant = pf.Plant(A_d=np.array([[1e200]]), B_d=np.ones((1, 1)))
