@@ -16,9 +16,8 @@ from .errors import (EnumerationBoundError, EvaluationError,
                      PenaltyFlowError)
 from .problem import (GradCheckReport, PenaltyConfig, Problem,
                       check_gradients, evaluate, measure_state)
-from .flow import (FlowParams, FlowState, GammaBoundInputs, exp_factor,
-                   fbar_dot_identity, flow_jacobian, flow_rhs, gamma_bound,
-                   series_factor)
+from .flow import (FlowParams, FlowState, exp_factor, fbar_dot_identity,
+                   flow_jacobian, flow_rhs, series_factor)
 from .integrator import (IntegratorConfig, SolveResult, StopCriteria,
                          integrate, save_trajectory, solve)
 from .kkt import KktReport, extract_multipliers, kkt_residuals

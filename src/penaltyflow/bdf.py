@@ -4,11 +4,11 @@ Sci. Comput. 18(1), 1-22 (1997), as scipy.integrate.BDF implements it.
 
 This is that implementation narrowed to the one case the integrator
 uses: a real, dense system stepped forward in time with no step-size
-ceiling, with either an exact Jacobian callable or, without one, the
-adaptive forward-difference estimate of scipy's ``num_jac``. Every
-floating-point operation, and the order of them, is scipy's, so a
-trajectory is bit-identical to what scipy's BDF computes; the test
-suite steps the two side by side. The LU factors come straight from
+ceiling and a Jacobian callable, which the integrator always supplies
+as the flow Jacobian. Every floating-point operation, and the order of
+them, is scipy's, so a trajectory is bit-identical to what scipy's BDF
+computes with the same Jacobian callable; the test suite steps the two
+side by side. The LU factors come straight from
 LAPACK's dgetrf/dgetrs.
 """
 
@@ -29,15 +29,6 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 
 EPS = np.finfo(float).eps
-# forward-difference step control: a column whose largest difference is
-# below REJECT times the size of f is retried with a 10x larger step, and
-# the next step grows below SMALL and shrinks above BIG
-NUM_JAC_DIFF_REJECT = EPS ** 0.875
-NUM_JAC_DIFF_SMALL = EPS ** 0.75
-NUM_JAC_DIFF_BIG = EPS ** 0.25
-NUM_JAC_MIN_FACTOR = 1e3 * EPS
-NUM_JAC_FACTOR_INCREASE = 10
-NUM_JAC_FACTOR_DECREASE = 0.1
 
 # the NDF constants kappa of orders 0..5, the BDF gamma_k = sum_{j<=k} 1/j,
 # and from them the leading coefficients and error constants
@@ -71,84 +62,16 @@ def _rms(v):
     return _norm(v) / v.size ** 0.5
 
 
-def _num_jac(fun, t, y, f, threshold, factor):
-    """Forward-difference Jacobian of ``fun`` at (t, y), where f is
-    fun(t, y) and ``factor`` the relative step per column (None on the
-    first call). Returns the Jacobian and the factors for the next call.
-
-    Each step follows the sign of f and is kept well clear of the
-    round-off in f: a column whose difference drowns in it is retried
-    with a 10x larger step, and the factor of every column adapts to how
-    far its difference sat from it."""
-    n = y.shape[0]
-    factor = np.full(n, EPS ** 0.5) if factor is None else factor.copy()
-    f_sign = 2 * (f >= 0).astype(float) - 1
-    y_scale = f_sign * np.maximum(threshold, np.abs(y))
-    h = (y + factor * y_scale) - y
-    for i in np.nonzero(h == 0)[0]:
-        while h[i] == 0:
-            factor[i] *= 10
-            h[i] = (y[i] + factor[i] * y_scale[i]) - y[i]
-
-    h_vecs = np.diag(h)
-    f_new = _columns(fun, t, y[:, None] + h_vecs)
-    diff = f_new - f[:, None]
-    max_ind = np.argmax(np.abs(diff), axis=0)
-    r = np.arange(n)
-    max_diff = np.abs(diff[max_ind, r])
-    scale = np.maximum(np.abs(f[max_ind]), np.abs(f_new[max_ind, r]))
-
-    diff_too_small = max_diff < NUM_JAC_DIFF_REJECT * scale
-    if np.any(diff_too_small):
-        ind, = np.nonzero(diff_too_small)
-        new_factor = NUM_JAC_FACTOR_INCREASE * factor[ind]
-        h_new = (y[ind] + new_factor * y_scale[ind]) - y[ind]
-        h_vecs[ind, ind] = h_new
-        f_new = _columns(fun, t, y[:, None] + h_vecs[:, ind])
-        diff_new = f_new - f[:, None]
-        max_ind = np.argmax(np.abs(diff_new), axis=0)
-        r = np.arange(ind.shape[0])
-        max_diff_new = np.abs(diff_new[max_ind, r])
-        scale_new = np.maximum(np.abs(f[max_ind]), np.abs(f_new[max_ind, r]))
-
-        update = max_diff[ind] * scale_new < max_diff_new * scale[ind]
-        if np.any(update):
-            update, = np.nonzero(update)
-            update_ind = ind[update]
-            factor[update_ind] = new_factor[update]
-            h[update_ind] = h_new[update]
-            diff[:, update_ind] = diff_new[:, update]
-            scale[update_ind] = scale_new[update]
-            max_diff[update_ind] = max_diff_new[update]
-
-    diff /= h
-
-    factor[max_diff < NUM_JAC_DIFF_SMALL * scale] *= NUM_JAC_FACTOR_INCREASE
-    factor[max_diff > NUM_JAC_DIFF_BIG * scale] *= NUM_JAC_FACTOR_DECREASE
-    factor = np.maximum(factor, NUM_JAC_MIN_FACTOR)
-    return diff, factor
-
-
-def _columns(fun, t, Y):
-    """fun applied to each column of Y, one call per column."""
-    F = np.empty_like(Y)
-    for i, yi in enumerate(Y.T):
-        F[:, i] = fun(t, yi)
-    return F
-
-
 class BDF:
     """One-step-at-a-time integration of y' = fun(t, y) from (t0, y0)
     towards t_bound > t0, starting with step size
     0 < first_step <= t_bound - t0.
 
-    ``jac(t, y)`` returns the dense Jacobian; when it is None the
-    Jacobian is estimated by forward differences of fun. ``step()``
-    advances (t, y) by one accepted step and sets ``status`` to
-    "finished" once t reaches t_bound, or to "failed" when the step size
-    would drop below 10 ulp(t). nfev counts the calls of fun outside the
-    difference estimate, njev the Jacobian evaluations and nlu the LU
-    factorizations. ``lu`` and ``solve_lu`` are looked up on the
+    ``jac(t, y)`` returns the dense Jacobian. ``step()`` advances (t, y)
+    by one accepted step and sets ``status`` to "finished" once t
+    reaches t_bound, or to "failed" when the step size would drop below
+    10 ulp(t). nfev counts the calls of fun, njev those of jac and nlu
+    the LU factorizations. ``lu`` and ``solve_lu`` are looked up on the
     instance at every use.
     """
 
@@ -164,7 +87,6 @@ class BDF:
         self.h_abs = first_step
         self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
         self._jac = jac
-        self.jac_factor = None
         self.J = self.jac(t0, y0)
         self.I = np.identity(y0.size)
         self.D = np.empty((MAX_ORDER + 3, y0.size))
@@ -180,11 +102,7 @@ class BDF:
 
     def jac(self, t, y):
         self.njev += 1
-        if self._jac is not None:
-            return self._jac(t, y)
-        J, self.jac_factor = _num_jac(self._fun, t, y, self._fun(t, y),
-                                      self.atol, self.jac_factor)
-        return J
+        return self._jac(t, y)
 
     def lu(self, A):
         """LU factors (lu, piv) of A, which may be overwritten. A

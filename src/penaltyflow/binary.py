@@ -17,6 +17,7 @@ is restarted from it with rho reset to 0. The bumps are data next to the
 base objective: a (k, n) array of centres and a (k,) array of amplitudes.
 """
 
+import math
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
 from typing import Optional
@@ -68,8 +69,13 @@ def binarize(problem: Problem) -> Problem:
 
     Constraint order: the native constraints of ``problem`` first, then
     x - x^2, then -x, then x - 1 (n_c + 3n in total). The objective is
-    the problem's own; the result has no Hessian hook, so the stepper
-    estimates the flow Jacobian by finite differences.
+    the problem's own. When ``problem`` has a Hessian hook the result
+    has one too: the x - x^2 block is the only curved addition, so
+
+        hess(x, w) = problem.hess(x, w[:k]) - 2 diag(w[k:k+n])
+
+    with k native constraints. Without a hook the result has none, and
+    the flow Jacobian differences the Lagrangian gradient.
     """
     n, k = problem.n, problem.n_c
     # rows of the -x and x - 1 blocks never change; each call fills in
@@ -90,8 +96,13 @@ def binarize(problem: Problem) -> Problem:
         np.fill_diagonal(jac[k:k + n], 1.0 - 2.0 * x)
         return jac
 
+    def hess(x, w):
+        return (np.asarray(problem.hess(x, w[:k]), dtype=float)
+                - 2.0 * np.diag(w[k:k + n]))
+
     return Problem(n=n, n_c=k + 3 * n, f=problem.f, f_x=problem.f_x,
-                   c=c, c_x=c_x)
+                   c=c, c_x=c_x,
+                   hess=None if problem.hess is None else hess)
 
 
 def find_neighbor(x_s, bp: Problem):
@@ -113,19 +124,23 @@ def find_neighbor(x_s, bp: Problem):
     return None
 
 
-def bumped_cost(bp: Problem, centres, amplitudes, mu_defl: float):
-    """Evaluators (f, f_x) of the deflated cost
+def bumped_cost(bp: Problem, centres, amplitudes, mu_defl: float) -> Problem:
+    """``bp`` with its cost deflated to
 
         f(x) = bp.f(x) + sum_j a_j * exp(-mu_defl * ||x - x_j||^2 / 4)
 
     with one bump per row x_j of the (k, n) array ``centres`` and its
-    amplitude a_j in the (k,) array ``amplitudes``. The bumps are added
-    one at a time in stacking order: a deflation run turns on the last
-    bit of these sums, and a vectorized sum over the bumps rounds
-    differently (it ends the knapsack run after 2 inner solves, not 4).
+    amplitude a_j in the (k,) array ``amplitudes``. With d = x - x_j and
+    e_j the exponential, bump j adds a_j e_j (-mu_defl / 2) d to the
+    gradient and a_j e_j (-mu_defl / 2) (I - (mu_defl / 2) d d') to the
+    Hessian; without a Hessian hook on ``bp`` the result has none. The
+    bumps are added one at a time in stacking order: a deflation run
+    turns on the last bit of these sums, and a vectorized sum over the
+    bumps rounds differently. ``mu_defl`` must be finite and > 0.
     """
-    if mu_defl <= 0.0:
-        raise ValueError("mu_defl must be > 0")
+    # written so that NaN fails
+    if not 0.0 < mu_defl < math.inf:
+        raise ValueError("mu_defl must be finite and > 0")
     amplitudes = np.asarray(amplitudes, dtype=float)
     centres = np.asarray(centres, dtype=float).reshape(amplitudes.size, bp.n)
     bumps = list(zip(centres, amplitudes))
@@ -147,7 +162,18 @@ def bumped_cost(bp: Problem, centres, amplitudes, mu_defl: float):
             grad = grad + bump * (-mu_defl / 2.0) * d
         return grad
 
-    return f, f_x
+    def hess(x, w):
+        x = np.asarray(x, dtype=float)
+        H = np.asarray(bp.hess(x, w), dtype=float)
+        for x_j, a_j in bumps:
+            d = x - x_j
+            bump = a_j * np.exp(-mu_defl * float(d @ d) / 4.0)
+            H = H + (bump * (-mu_defl / 2.0)) * (
+                np.eye(bp.n) - (mu_defl / 2.0) * np.outer(d, d))
+        return H
+
+    return replace(bp, f=f, f_x=f_x,
+                   hess=None if bp.hess is None else hess)
 
 
 def deflate_cost(f, centres, amplitudes, x_s, z_s):
@@ -243,14 +269,14 @@ def solve_binary(bp: Problem, params: Optional[FlowParams] = None,
         raise ValueError("max_minima must be >= 1")
 
     centres, amplitudes = np.zeros((0, bp.n)), np.zeros(0)
-    f, f_x = bumped_cost(bp, centres, amplitudes, mu_defl)
+    cost = bumped_cost(bp, centres, amplitudes, mu_defl)
     x_start = np.full(bp.n, 0.5)
     records = []
     status = "max_minima"
     inner = 0
     while inner < max_minima:
-        res = solve(binarize(replace(bp, f=f, f_x=f_x, hess=None)), params,
-                    FlowState(x=x_start, rho=0.0), stop, config)
+        res = solve(binarize(cost), params, FlowState(x=x_start, rho=0.0),
+                    stop, config)
         inner += 1
         if res.status != "converged":
             status = f"inner_{res.status}"
@@ -266,9 +292,9 @@ def solve_binary(bp: Problem, params: Optional[FlowParams] = None,
         if z is None:
             status = "no_neighbor"
             break
-        centres, amplitudes = deflate_cost(f, centres, amplitudes,
+        centres, amplitudes = deflate_cost(cost.f, centres, amplitudes,
                                            x_vertex, z)
-        f, f_x = bumped_cost(bp, centres, amplitudes, mu_defl)
+        cost = bumped_cost(bp, centres, amplitudes, mu_defl)
         x_start = x_vertex
     best_x, best_f = None, np.inf
     for r in records:

@@ -1,13 +1,19 @@
-"""Right-hand sides of the coupled (x, rho) flows, their exact Jacobian,
-and the related diagnostics: the truncated-series and exponential
-scaling factors, the gamma smallness bound, and the dfbar/dt identity.
+"""Right-hand sides of the coupled (x, rho) flows, their Jacobian, the
+truncated-series and exponential scaling factors, and the dfbar/dt
+identity.
 
 Both flows share the structure
 
     dx/dt   = -factor(g) * fbar_x(x, rho)
     drho/dt = gamma * psi(x)
 
-and differ only in the scalar factor applied to the gradient.
+and differ only in the scalar factor applied to the gradient. The
+paper's sufficient descent condition bounds gamma by
+
+    gamma_max = [ min_{i=1..n_psi} (lam*k_c)^i / (2 alpha_i lam (i-1)!) ]^2
+
+with k_c and the growth coefficients alpha_i hypotheses that no
+problem data determines; the solver neither computes nor enforces it.
 """
 
 import math
@@ -16,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, FactorOverflowError
-from .problem import (PenaltyConfig, _finite, _norm, _penalty,
-                      _weighted_grad, evaluate, penalty_weights)
+from .problem import (PenaltyConfig, _central_diff, _finite,
+                      _lagrangian_grad, _norm, _penalty, _weighted_grad,
+                      evaluate, penalty_weights)
 
 __all__ = [
-    "FlowParams", "FlowState", "GammaBoundInputs", "series_factor",
-    "exp_factor", "flow_rhs", "flow_jacobian", "gamma_bound",
-    "fbar_dot_identity",
+    "FlowParams", "FlowState", "series_factor", "exp_factor", "flow_rhs",
+    "flow_jacobian", "fbar_dot_identity",
 ]
 
 MODES = ("truncated", "exponential")
@@ -30,6 +36,10 @@ MODES = ("truncated", "exponential")
 # exp(x) overflows double precision just above x = 709; the guard fires a
 # little earlier so the error names the magnitude instead of returning inf
 _EXP_ARG_MAX = 700.0
+
+# central-difference step of a Hessian without a hook, relative to
+# max(1, |x|_inf): it balances truncation (h^2) against round-off (eps/h)
+_HESS_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -80,28 +90,6 @@ class FlowState:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-
-
-@dataclass(frozen=True)
-class GammaBoundInputs:
-    """User-supplied constants for the gamma smallness bound: the
-    strong-convexity-to-stationary-set constant k_c and the positive
-    coefficients alpha_i of the degree-n_psi growth polynomial.
-
-    Neither quantity is estimated by any algorithm here; both are
-    hypotheses supplied for diagnostic purposes only.
-    """
-
-    k_c: float
-    alphas: tuple
-
-    def __post_init__(self):
-        if self.k_c <= 0.0:
-            raise ValueError("k_c must be > 0")
-        alphas = tuple(float(a) for a in self.alphas)
-        if len(alphas) < 1 or any(a <= 0.0 for a in alphas):
-            raise ValueError("alphas must be a non-empty tuple of positives")
-        object.__setattr__(self, "alphas", alphas)
 
 
 def series_factor(g: float, lam: float, q: int) -> float:
@@ -161,11 +149,12 @@ def flow_rhs(problem, state: FlowState, params: FlowParams):
 
 
 def flow_jacobian(problem, state: FlowState, params: FlowParams):
-    """Exact Jacobian of the packed flow y = [x, rho] -> [dx, drho].
+    """Jacobian of the packed flow y = [x, rho] -> [dx, drho], the one
+    the stepper uses.
 
-    Needs ``problem.hess``. With G = fbar_x, A = c_x, w the penalty
-    weights, v = m A' max(0, c)^(m-1) = dG/drho and the x-Hessian of the
-    weighted cost
+    With G = fbar_x, A = c_x, w the penalty weights,
+    v = m A' max(0, c)^(m-1) = dG/drho and the x-Hessian of the weighted
+    cost
 
         K = hess(x, w) + rho m (m-1) A' diag(max(0, c)^(m-2)) A
 
@@ -177,13 +166,20 @@ def flow_jacobian(problem, state: FlowState, params: FlowParams):
         J_rhox   = gamma v'
         J_rhorho = 0
 
-    and the rank-one terms vanish at g = 0. Returns an (n+1, n+1) array.
+    and the rank-one terms vanish at g = 0. hess(x, w) is the problem's
+    hook; without one it is the symmetrized central difference of the
+    Lagrangian gradient f_x + w'c_x. Returns an (n+1, n+1) array.
     """
     m, rho, n = params.m, state.rho, problem.n
     grad, cvals, jac = evaluate(problem, state.x)
     w = penalty_weights(cvals, rho, m)
     G = grad + w @ jac
-    K = np.asarray(problem.hess(state.x, w), dtype=float)
+    if problem.hess is None:
+        step = _HESS_STEP * max(1.0, float(np.max(np.abs(state.x))))
+        K = _central_diff(_lagrangian_grad(problem, w), state.x, step)
+        K = 0.5 * (K + K.T)
+    else:
+        K = np.asarray(problem.hess(state.x, w), dtype=float)
     if not _finite(K):
         raise EvaluationError(None, "Hessian")
     if m > 1:
@@ -202,22 +198,6 @@ def flow_jacobian(problem, state: FlowState, params: FlowParams):
         J[:n, n] -= (s * float(G @ v)) * G
     J[n, :n] = params.gamma * v
     return J
-
-
-def gamma_bound(lam: float, inputs: GammaBoundInputs) -> float:
-    """Largest gamma compatible with the sufficient descent condition,
-
-        gamma_max = [ min_{i=1..n_psi} (lam*k_c)^i / (2 alpha_i lam (i-1)!) ]^2.
-
-    A diagnostic calculator only; the solver never enforces it (k_c and
-    the alphas are not computable from problem data).
-    """
-    terms = []
-    for i, alpha in enumerate(inputs.alphas, start=1):
-        num = (lam * inputs.k_c) ** i
-        den = 2.0 * alpha * lam * math.factorial(i - 1)
-        terms.append(num / den)
-    return min(terms) ** 2
 
 
 def fbar_dot_identity(problem, state: FlowState, params: FlowParams):

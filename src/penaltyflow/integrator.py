@@ -6,13 +6,13 @@ variable-order BDF/NDF method (Shampine & Reichelt, "The MATLAB ODE
 Suite", 1997), driven one accepted step at a time. The penalty Hessian
 scale grows like rho along the flow, so reaching the asymptotic regime
 (psi below 1e-8 at gamma = 1e-6 means flow times beyond 1e15) is only
-practical for a stiff method whose steps grow geometrically. When the
-problem has a Hessian hook the stepper gets the exact flow Jacobian;
-otherwise it estimates the Jacobian by forward differences of the
-right-hand side. The first step is 1e-6, or the rest of the horizon
-when that is shorter. If the stepper stalls it is rebuilt from the last
-accepted state; rebuilds that make no forward progress terminate the
-run.
+practical for a stiff method whose steps grow geometrically. The
+stepper always gets the flow Jacobian (``flow_jacobian``): exact when
+the problem has a Hessian hook, and with its Hessian K differenced
+from the Lagrangian gradient when it has none. The first step is 1e-6,
+or the rest of the horizon when that is shorter. If the stepper stalls
+it is rebuilt from the last accepted state; rebuilds that make no
+forward progress terminate the run.
 
 The answer is the asymptotic state, not the path to it: "converged" is
 certified at the final state by the stop test (psi <= eps_psi and
@@ -156,11 +156,11 @@ def save_trajectory(result: SolveResult, path) -> None:
 # ----------------------------------------------------------------------
 
 def _guarded(problem, params):
-    """Flow RHS and, when the problem has a Hessian hook, the exact flow
-    Jacobian over packed y, sharing one failure flag. An evaluator
-    failure in either sets the flag and poisons the output with NaN, so
-    the stepper fails softly; once the flag is set every later call of
-    either returns NaN. Returns (rhs, jac or None, failure)."""
+    """Flow RHS and flow Jacobian over packed y, sharing one failure
+    flag. An evaluator failure in either sets the flag and poisons the
+    output with NaN, so the stepper fails softly; once the flag is set
+    every later call of either returns NaN. Returns (rhs, jac,
+    failure)."""
     failure = {"exc": None}
     k = problem.n + 1
 
@@ -181,8 +181,6 @@ def _guarded(problem, params):
     def jac(state):
         return flow_jacobian(problem, state, params)
 
-    if problem.hess is None:
-        return guard(rhs, k), None, failure
     return guard(rhs, k), guard(jac, (k, k)), failure
 
 

@@ -41,11 +41,10 @@ class Problem:
     hess : callable, optional
         Hessian of the Lagrangian, hess(x, w) -> (n, n), the matrix
         nabla^2 f(x) + sum_i w_i nabla^2 c_i(x) for weights w of length
-        n_c. When given, the integrator steps with the exact Jacobian of
-        the flow; without it the BDF stepper estimates the Jacobian by
-        forward differences of the right-hand side, at n + 2 right-hand
-        side evaluations per estimate (more when a column is retried
-        with a larger step).
+        n_c. The stepper always gets the flow Jacobian; when the hook is
+        absent, that Jacobian takes this matrix from central differences
+        of the Lagrangian gradient f_x + w'c_x, at 2n calls each of f_x
+        and c_x per Jacobian.
 
     Evaluators must be total on R^n (finite output for finite input) and
     are treated as read-only; nothing here mutates the problem.
@@ -122,13 +121,15 @@ def _weighted_grad(grad, cvals, jac, rho, m):
 def evaluate(problem: Problem, x):
     """(f_x, c, c_x) at x: one call of each evaluator, all finite.
 
-    The solver reads a problem's derivatives and constraints only
-    through this call: the flow, its Jacobian, the stop test and the
-    multipliers with their KKT residuals. A non-finite gradient raises
-    EvaluationError(None); a non-finite constraint value or
-    constraint-Jacobian row raises EvaluationError naming the first such
-    constraint. For n_c = 0, c and c_x are not called and come back
-    empty.
+    The solver reads a problem's derivatives and constraints through
+    this call: the flow, its Jacobian, the stop test and the
+    multipliers with their KKT residuals. Only the differenced Hessian
+    of a problem without a hook calls f_x and c_x directly, and the
+    flow Jacobian refuses it when it is not finite. A non-finite
+    gradient raises EvaluationError(None); a non-finite constraint
+    value or constraint-Jacobian row raises EvaluationError naming the
+    first such constraint. For n_c = 0, c and c_x are not called and
+    come back empty.
     """
     grad = np.asarray(problem.f_x(x), dtype=float)
     if not _finite(grad):
@@ -196,6 +197,15 @@ def _central_diff(fun, x, step):
     return np.stack(cols, axis=-1)
 
 
+def _lagrangian_grad(problem: Problem, w):
+    """The gradient z -> f_x(z) + w'c_x(z) of the Lagrangian at fixed
+    weights w, whose Jacobian is hess(z, w)."""
+    def grad(z):
+        return (np.asarray(problem.f_x(z), dtype=float)
+                + w @ np.asarray(problem.c_x(z), dtype=float))
+    return grad
+
+
 def _rel_error(analytic, fd) -> float:
     # an overflowing deviation reads NaN or inf, which the report carries
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,12 +237,8 @@ def check_gradients(problem: Problem, x, step: float,
     err_h = 0.0
     if problem.hess is not None:
         w = 1.0 + np.arange(problem.n_c) / max(1, problem.n_c)
-
-        def lagrangian_grad(z):
-            return (np.asarray(problem.f_x(z), dtype=float)
-                    + w @ np.asarray(problem.c_x(z), dtype=float))
-
         err_h = _rel_error(problem.hess(x, w),
-                           _central_diff(lagrangian_grad, x, step))
+                           _central_diff(_lagrangian_grad(problem, w), x,
+                                         step))
     return GradCheckReport(f_x_error=err_f, c_x_error=err_c,
                            hess_error=err_h)

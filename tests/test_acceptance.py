@@ -5,6 +5,8 @@ with -s to see them inline). The QP benchmark and the binary sweep are
 module-scoped fixtures because the determinism criterion reruns both.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,14 +202,31 @@ def _central_flow_jacobian(problem, state, params, step=1e-6):
     return np.stack(cols, axis=1)
 
 
+def _bumped_binary():
+    """Seed 3's binarized instance deflated by two stacked bumps, with
+    the exact Hessian hook."""
+    bp = _seeded_binary(3)
+    return pf.binarize(pf.bumped_cost(
+        bp, np.array([[0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+                      [0.0, 1.0, 0.0, 1.0, 0.0, 0.0]]),
+        np.array([2.0, 3.5]), 4.0))
+
+
 def test_flow_jacobian_matches_central_differences():
-    """The exact (x, rho) Jacobian against central differences of
-    flow_rhs, for both modes, q in {1, 2, 4} and m in {1, 2, 3}, at
-    off-boundary states with active and inactive constraints and at
-    states where g = 0."""
+    """The (x, rho) Jacobian against central differences of flow_rhs,
+    for both modes, q in {1, 2, 4} and m in {1, 2, 3}, at off-boundary
+    states with active and inactive constraints and at states where
+    g = 0: with exact Hessian hooks (a QP, a curved problem, a deflated
+    binary problem) and with the Hessian differenced (the curved problem
+    without its hook)."""
     rng = np.random.default_rng(3)
-    problems = [pf.qp_problem(pf.generate_random_qp(4, 5, seed=1)[0]),
-                _curved_problem()]
+    # the last two draw their states from a generator of their own, so
+    # the first two keep the states they had before those were added
+    added = np.random.default_rng(4)
+    problems = [
+        (pf.qp_problem(pf.generate_random_qp(4, 5, seed=1)[0]), rng),
+        (_curved_problem(), rng), (_bumped_binary(), added),
+        (dataclasses.replace(_curved_problem(), hess=None), added)]
     # g = 0 with an active constraint: the halfspace problem at the origin
     zero_g = pf.qp_problem(pf.QpData(H=np.eye(2), F=np.zeros(2),
                                      A=np.array([[-1.0, 0.0]]),
@@ -219,17 +238,17 @@ def test_flow_jacobian_matches_central_differences():
                 params = pf.FlowParams(lam=0.05, gamma=0.5, q=q, mode=mode,
                                        m=m)
                 cases = [(zero_g, pf.FlowState(x=np.zeros(2), rho=0.0))]
-                for prob in problems:
+                for prob, gen in problems:
                     taken = 0
                     while taken < 3:
-                        x = 1.2 * rng.standard_normal(prob.n)
+                        x = 1.2 * gen.standard_normal(prob.n)
                         cvals = prob.c(x)
                         if np.min(np.abs(cvals)) <= 1e-2:
                             continue
                         active += int(np.any(cvals > 0.0))
                         inactive += int(np.any(cvals < 0.0))
                         cases.append((prob, pf.FlowState(
-                            x=x, rho=float(rng.uniform(0.0, 3.0)))))
+                            x=x, rho=float(gen.uniform(0.0, 3.0)))))
                         taken += 1
                 for prob, state in cases:
                     exact = flow_jacobian(prob, state, params)

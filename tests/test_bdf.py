@@ -20,16 +20,6 @@ def _seeded_binary():
     return pf.binary_quadratic(0.5 * (H + H.T), rng.standard_normal(6))
 
 
-def _linear(top):
-    """y' = -diag(rates) y + b with rates from 1e-6 to 10^top. b dwarfs
-    every column's difference, so the difference estimate retries
-    columns and adapts their steps; a fast top rate makes the first
-    steps fail the error test by far."""
-    rates = np.logspace(-6, top, 8)
-    b = 1e6 * np.cos(np.arange(8))
-    return lambda t, y: -rates * y + b
-
-
 def _wall(t, y):
     # y' = -y up to t = 1 and no finite value beyond: the steps shrink
     # onto t = 1 until the stepper fails
@@ -44,14 +34,11 @@ def _cases():
         B=np.array([-1.0])))
     binary = pf.binarize(_seeded_binary())
     return {
-        # exact flow Jacobian
         "qp": (*_guarded(qp, pf.FlowParams())[:2], np.zeros(16), 1e24,
                "running"),
-        # no Hessian hook: forward-difference Jacobians
+        # the binarized Hessian hook at q = 4
         "binary": (*_guarded(binary, pf.FlowParams(q=BINARY_Q))[:2],
                    np.full(7, 0.5), 1e24, "finished"),
-        "linear": (_linear(2), None, np.ones(8), 1e24, "finished"),
-        "linear-fast": (_linear(6), None, np.ones(8), 1e24, "finished"),
         # the last step is cut to t_bound
         "clipped": (*_guarded(halfspace, pf.FlowParams())[:2], np.zeros(3),
                     1.0, "finished"),
@@ -59,8 +46,7 @@ def _cases():
     }
 
 
-@pytest.mark.parametrize("case", ["qp", "binary", "linear", "linear-fast",
-                                  "clipped", "wall"])
+@pytest.mark.parametrize("case", ["qp", "binary", "clipped", "wall"])
 def test_steps_match_scipy_bdf(case):
     rhs, jac, y0, t_bound, status = _cases()[case]
     ours, ref = (cls(rhs, 0.0, y0.copy(), t_bound=t_bound, jac=jac,
@@ -84,8 +70,9 @@ def test_steps_match_scipy_bdf(case):
 
 def _decay():
     # y' = -y
-    return BDF(lambda t, y: -y, 0.0, np.ones(2), t_bound=1.0, jac=None,
-               rtol=1e-3, atol=1e-9, first_step=1e-6)
+    return BDF(lambda t, y: -y, 0.0, np.ones(2), t_bound=1.0,
+               jac=lambda t, y: -np.eye(2), rtol=1e-3, atol=1e-9,
+               first_step=1e-6)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -110,10 +110,28 @@ class TestBinarize:
         assert prob.f(np.zeros(2)) == 7.0
         assert prob.n_c == 7
 
+    def test_hessian_hook(self):
+        # the native hook plus the curvature of the x - x^2 block, on the
+        # knapsack and on a seeded instance with two stacked bumps
+        rng = np.random.default_rng(5)
+        H = rng.standard_normal((4, 4))
+        bp = pf.binary_quadratic(0.5 * (H + H.T), rng.standard_normal(4))
+        bumped = pf.bumped_cost(bp, np.array([[0.0, 1.0, 1.0, 0.0],
+                                              [1.0, 1.0, 0.0, 0.0]]),
+                                np.array([2.5, 1.5]), 4.0)
+        for prob in (pf.binarize(_knapsack()), pf.binarize(bumped)):
+            for _ in range(4):
+                rep = check_gradients(prob, rng.uniform(-0.2, 1.2, prob.n),
+                                      1e-6, PenaltyConfig(m=2))
+                assert rep.hess_error <= 1e-7
+
     def test_no_hessian_hook(self):
-        # the x - x^2 block has curvature the native hook does not carry
-        assert _knapsack().hess is not None
-        assert pf.binarize(_knapsack()).hess is None
+        # a problem without a hook stays without one through deflation
+        # and binarization
+        bp = dataclasses.replace(_knapsack(), hess=None)
+        bumped = pf.bumped_cost(bp, np.zeros((1, 2)), np.ones(1), 40.0)
+        assert bumped.hess is None
+        assert pf.binarize(bumped).hess is None
 
 
 class TestFindNeighbor:
@@ -149,13 +167,12 @@ class TestFindNeighbor:
 
 
 def _one_bump(bp, x_s, z_s, mu_defl=40.0):
-    """Evaluators and amplitude of bp's objective with one bump at x_s
-    sized against z_s."""
-    f, _ = pf.bumped_cost(bp, np.zeros((0, bp.n)), np.zeros(0), mu_defl)
-    centres, amplitudes = pf.deflate_cost(f, np.zeros((0, bp.n)),
+    """bp deflated by one bump at x_s sized against z_s, and the bump's
+    amplitude."""
+    cost = pf.bumped_cost(bp, np.zeros((0, bp.n)), np.zeros(0), mu_defl)
+    centres, amplitudes = pf.deflate_cost(cost.f, np.zeros((0, bp.n)),
                                           np.zeros(0), x_s, z_s)
-    f_new, g_new = pf.bumped_cost(bp, centres, amplitudes, mu_defl)
-    return f_new, g_new, amplitudes[-1]
+    return pf.bumped_cost(bp, centres, amplitudes, mu_defl), amplitudes[-1]
 
 
 class TestDeflateCost:
@@ -163,9 +180,9 @@ class TestDeflateCost:
         bp = pf.binary_quadratic(np.zeros((2, 2)), np.ones(2))
         x_s = np.zeros(2)
         z = np.array([1.0, 0.0])
-        f_new, g_new, a = _one_bump(bp, x_s, z)
+        cost, a = _one_bump(bp, x_s, z)
         assert a == 3.0
-        assert f_new(x_s) == pytest.approx(bp.f(x_s) + 3.0, rel=1e-15)
+        assert cost.f(x_s) == pytest.approx(bp.f(x_s) + 3.0, rel=1e-15)
 
     def test_amplitude_guard_for_negative_values(self):
         centres, amplitudes = pf.deflate_cost(
@@ -178,38 +195,40 @@ class TestDeflateCost:
         bp = pf.binary_quadratic(np.zeros((2, 2)), np.ones(2))
         x_s = np.zeros(2)
         z = np.array([1.0, 0.0])
-        f_new, _, a = _one_bump(bp, x_s, z)
-        lift = f_new(z) - bp.f(z)
+        cost, a = _one_bump(bp, x_s, z)
+        lift = cost.f(z) - bp.f(z)
         assert lift == pytest.approx(a * math.exp(-10.0), rel=1e-12)
-        assert f_new(x_s) > f_new(z)
+        assert cost.f(x_s) > cost.f(z)
 
     def test_far_field_locality(self):
         bp = pf.binary_quadratic(np.eye(3), np.ones(3))
-        f_new, g_new, _ = _one_bump(bp, np.zeros(3),
-                                    np.array([1.0, 0.0, 0.0]))
+        cost, _ = _one_bump(bp, np.zeros(3), np.array([1.0, 0.0, 0.0]))
         rng = np.random.default_rng(8)
         for _ in range(10):
             d = rng.standard_normal(3)
             x = 3.0 * d / np.linalg.norm(d)
-            assert abs(f_new(x) - bp.f(x)) <= 1e-9 * max(1.0, abs(bp.f(x)))
-            np.testing.assert_allclose(g_new(x), bp.f_x(x), rtol=1e-9,
+            assert abs(cost.f(x) - bp.f(x)) <= 1e-9 * max(1.0, abs(bp.f(x)))
+            np.testing.assert_allclose(cost.f_x(x), bp.f_x(x), rtol=1e-9,
+                                       atol=1e-12)
+            np.testing.assert_allclose(cost.hess(x, np.zeros(0)),
+                                       bp.hess(x, np.zeros(0)), rtol=1e-9,
                                        atol=1e-12)
 
     def test_gradient_of_bump(self):
         bp = pf.binary_quadratic(np.eye(2), np.zeros(2))
-        f_new, g_new, _ = _one_bump(bp, np.zeros(2), np.array([0.0, 1.0]))
+        cost, _ = _one_bump(bp, np.zeros(2), np.array([0.0, 1.0]))
         x = np.array([0.2, -0.1])
         step = 1e-7
         fd = np.zeros(2)
         for i in range(2):
             e = np.zeros(2)
             e[i] = step
-            fd[i] = (f_new(x + e) - f_new(x - e)) / (2.0 * step)
-        np.testing.assert_allclose(g_new(x), fd, rtol=1e-6, atol=1e-9)
+            fd[i] = (cost.f(x + e) - cost.f(x - e)) / (2.0 * step)
+        np.testing.assert_allclose(cost.f_x(x), fd, rtol=1e-6, atol=1e-9)
 
     def test_strength_validated(self):
         bp = pf.binary_quadratic(np.eye(2), np.zeros(2))
-        for mu_defl in (0.0, -1.0):
+        for mu_defl in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 pf.bumped_cost(bp, np.zeros((0, 2)), np.zeros(0), mu_defl)
         with pytest.raises(ValueError):
@@ -223,17 +242,21 @@ class TestDeflateCost:
         mu = 7.0
         centres = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
         amplitudes = np.array([1.7, 3.1, 2.9])
-        f, f_x = pf.bumped_cost(bp, centres, amplitudes, mu)
+        cost = pf.bumped_cost(bp, centres, amplitudes, mu)
+        w = np.zeros(0)
         # over these points another order rounds differently at some
         for x in np.random.default_rng(3).uniform(-0.5, 1.5, size=(20, 2)):
-            value, grad = float(bp.f(x)), bp.f_x(x)
+            value, grad, hess = float(bp.f(x)), bp.f_x(x), bp.hess(x, w)
             for x_j, a_j in zip(centres, amplitudes):
                 d = x - x_j
                 bump = a_j * np.exp(-mu * float(d @ d) / 4.0)
                 value = value + bump
                 grad = grad + bump * (-mu / 2.0) * d
-            assert f(x) == value
-            assert np.array_equal(f_x(x), grad)
+                hess = hess + (bump * (-mu / 2.0)) * (
+                    np.eye(2) - (mu / 2.0) * np.outer(d, d))
+            assert cost.f(x) == value
+            assert np.array_equal(cost.f_x(x), grad)
+            assert np.array_equal(cost.hess(x, w), hess)
 
 
 class TestSolveBinary:
@@ -296,7 +319,7 @@ class TestSolveBinary:
             return pf.solve(*args, **kwargs)
 
         monkeypatch.setattr(binary, "solve", counting_solve)
-        for mu_defl in (0.0, -1.0):
+        for mu_defl in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 pf.solve_binary(_knapsack(), mu_defl=mu_defl)
         assert calls == []

@@ -1,5 +1,5 @@
-"""Flow right-hand sides, scaling factors, the gamma bound calculator,
-and the weighted-cost time-derivative identity."""
+"""Flow right-hand sides, scaling factors, and the weighted-cost
+time-derivative identity."""
 
 import math
 
@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from penaltyflow import (FactorOverflowError, FlowParams, FlowState,
-                         GammaBoundInputs, exp_factor, fbar_dot_identity,
-                         flow_rhs, gamma_bound, generate_random_qp,
-                         qp_problem, series_factor)
+                         exp_factor, fbar_dot_identity, flow_rhs,
+                         generate_random_qp, qp_problem, series_factor)
 from penaltyflow.problem import Problem
 
 
@@ -120,31 +119,6 @@ class TestFlowRhs:
                 cos = float(dx @ fbar_x) / (np.linalg.norm(dx)
                                             * np.linalg.norm(fbar_x))
                 np.testing.assert_allclose(cos, -1.0, rtol=1e-12)
-
-
-class TestGammaBound:
-    def test_two_equal_terms(self):
-        bound = gamma_bound(1.0, GammaBoundInputs(k_c=1.0, alphas=(1.0, 1.0)))
-        np.testing.assert_allclose(bound, 0.25, rtol=1e-15)
-
-    def test_single_term(self):
-        bound = gamma_bound(1.0, GammaBoundInputs(k_c=2.0, alphas=(1.0,)))
-        np.testing.assert_allclose(bound, 1.0, rtol=1e-15)
-
-    def test_small_lambda(self):
-        """lam = 1e-4, k_c = 1, alphas (1,1): the terms are
-        (lam)/(2 lam) = 0.5 and lam^2/(2 lam) = 5e-5; min squared."""
-        bound = gamma_bound(1e-4,
-                            GammaBoundInputs(k_c=1.0, alphas=(1.0, 1.0)))
-        np.testing.assert_allclose(bound, 2.5e-9, rtol=1e-12)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            GammaBoundInputs(k_c=0.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
-            GammaBoundInputs(k_c=1.0, alphas=())
-        with pytest.raises(ValueError):
-            GammaBoundInputs(k_c=1.0, alphas=(1.0, -2.0))
 
 
 class TestFbarDotIdentity:
