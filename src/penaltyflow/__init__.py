@@ -19,7 +19,7 @@ from .problem import (GradCheckReport, PenaltyConfig, Problem,
 from .flow import (FlowParams, FlowState, exp_factor, fbar_dot_identity,
                    flow_jacobian, flow_rhs, series_factor)
 from .integrator import (IntegratorConfig, SolveResult, StopCriteria,
-                         integrate, save_trajectory, solve)
+                         save_trajectory, solve)
 from .kkt import KktReport, extract_multipliers, kkt_residuals
 from .qp import (BenchReport, BenchRow, OracleSolution, QpData,
                  active_set_oracle, generate_random_qp, qp_problem,

@@ -98,7 +98,7 @@ def _emit(args, text):
 def cmd_solve_qp(args) -> int:
     data = fileio.load_qp(args.input)
     params = _override(FlowParams(), args)
-    problem = qp_problem(data, params.cfg)
+    problem = qp_problem(data)
     res = solve(problem, params, FlowState(x=np.zeros(data.n), rho=0.0),
                 _override(StopCriteria(), args),
                 _override(IntegratorConfig(), args))
@@ -213,11 +213,10 @@ def cmd_minlp(args) -> int:
 
 
 def cmd_check_grads(args) -> int:
-    cfg = _override(FlowParams(), args).cfg
     if args.kind == "qp":
         data = fileio.load_qp(args.input) if args.input else \
             generate_random_qp(args.n, args.nc, args.seed)[0]
-        problem = qp_problem(data, cfg)
+        problem = qp_problem(data)
     else:
         if not args.input:
             print("error: --kind binary needs an input file",
@@ -227,8 +226,8 @@ def cmd_check_grads(args) -> int:
     rng = np.random.default_rng(args.seed)
     # np.max, unlike max, keeps a NaN deviation, which then fails the tol
     worst = float(np.max([
-        check_gradients(problem, rng.standard_normal(problem.n), args.step,
-                        cfg).worst
+        check_gradients(problem, rng.standard_normal(problem.n),
+                        args.step).worst
         for _ in range(args.points)]))
     print(f"worst relative deviation over {args.points} points: "
           f"{worst:.3e}")

@@ -1,5 +1,6 @@
-"""Flow integration with event-based stopping and trajectory sampling,
-wrapped into the top-level ``solve``.
+"""``solve``: flow integration with event-based stopping, trajectory
+sampling, and the multipliers and KKT residuals read off the final
+state.
 
 The flow is stepped by ``bdf.BDF``, the package's port of scipy's
 variable-order BDF/NDF method (Shampine & Reichelt, "The MATLAB ODE
@@ -34,13 +35,13 @@ import numpy as np
 from .bdf import BDF
 from .errors import EvaluationError, FactorOverflowError
 from .flow import FlowParams, FlowState, flow_jacobian, flow_rhs
-from .kkt import KktReport, extract_multipliers, kkt_residuals
-from .problem import Problem, measure_state
+from .kkt import KktReport, _kkt_report
+from .problem import Problem, measure_state, penalty_weights
 from .fileio import atomic_write_text, fmt
 
 __all__ = [
-    "StopCriteria", "IntegratorConfig", "SolveResult", "integrate",
-    "solve", "trajectory_header", "save_trajectory",
+    "StopCriteria", "IntegratorConfig", "SolveResult", "solve",
+    "trajectory_header", "save_trajectory",
 ]
 
 # pathological stepper-stall ceiling; each restart must advance t
@@ -112,8 +113,8 @@ class IntegratorConfig:
 
 @dataclass
 class SolveResult:
-    """Final state, sampled trajectory, step statistics, and (after
-    ``solve``) multipliers with KKT residuals.
+    """Final state, sampled trajectory, step statistics, and the
+    multipliers with KKT residuals read off the final state.
 
     trajectory rows are [t, rho, psi, g, f, fbar, x_0 .. x_{n-1}],
     decimated to every 10th accepted step plus the initial and final
@@ -155,46 +156,38 @@ def save_trajectory(result: SolveResult, path) -> None:
 # integration loop
 # ----------------------------------------------------------------------
 
-def _guarded(problem, params):
-    """Flow RHS and flow Jacobian over packed y, sharing one failure
-    flag. An evaluator failure in either sets the flag and poisons the
-    output with NaN, so the stepper fails softly; once the flag is set
-    every later call of either returns NaN. Returns (rhs, jac,
-    failure)."""
-    failure = {"exc": None}
-    k = problem.n + 1
-
-    def guard(fn, shape):
-        def call(t, y):
-            if failure["exc"] is None:
-                try:
-                    return fn(FlowState(x=y[:-1], rho=float(y[-1]), t=t))
-                except (EvaluationError, FactorOverflowError) as exc:
-                    failure["exc"] = exc
-            return np.full(shape, np.nan)
-        return call
-
-    def rhs(state):
-        dx, drho = flow_rhs(problem, state, params)
+def _packed_flow(problem, params):
+    """The flow right-hand side and its Jacobian as functions (t, y) of
+    the packed state y = [x, rho], the form the stepper calls."""
+    def rhs(t, y):
+        dx, drho = flow_rhs(problem, FlowState(x=y[:-1], rho=float(y[-1]),
+                                               t=t), params)
         return np.concatenate([dx, [drho]])
 
-    def jac(state):
-        return flow_jacobian(problem, state, params)
+    def jac(t, y):
+        return flow_jacobian(problem, FlowState(x=y[:-1], rho=float(y[-1]),
+                                                t=t), params)
 
-    return guard(rhs, k), guard(jac, (k, k)), failure
+    return rhs, jac
 
 
-def integrate(problem: Problem, params: FlowParams, state0: FlowState,
-              stop: StopCriteria, config: IntegratorConfig) -> SolveResult:
-    """Integrate the flow from ``state0`` until a stop criterion fires.
+def solve(problem: Problem, params: FlowParams, state0: FlowState,
+          stop: StopCriteria, config: IntegratorConfig) -> SolveResult:
+    """Integrate the flow from ``state0`` until a stop criterion fires,
+    and read the multipliers and KKT residuals off the final state.
 
-    Convergence (psi <= eps_psi and g <= eps_g) is checked after every
-    accepted step; trajectory samples are retained every 10th accepted
-    step plus the initial and final states. Evaluator and overflow
-    failures surface as status "rhs_failure" with the detail in
-    ``warnings``; any other exception raised by an evaluator propagates.
-    The flow runs forward in time only: a start past ``stop.t_max`` is
-    refused with ValueError, and a start at it ends in "t_max_reached".
+    The stop criteria are checked at the start state and after every
+    accepted step, so a start that meets one ends there without a step;
+    trajectory samples are retained every 10th accepted step plus the
+    initial and final states. Evaluator and overflow failures surface as
+    status "rhs_failure" with the detail in ``warnings``, and the result
+    keeps the last state that was measured; any other exception raised
+    by an evaluator propagates. The flow runs forward in time only: a
+    start past ``stop.t_max`` is refused with ValueError.
+
+    mu and kkt come from the evaluation that measured the final state.
+    When not even the start state could be evaluated there is no final
+    state, and they stay None.
     """
     # written so that NaN fails
     if not 0.0 <= state0.rho < math.inf:
@@ -211,105 +204,80 @@ def integrate(problem: Problem, params: FlowParams, state0: FlowState,
                          f"expected ({problem.n},)")
     y = np.concatenate([x0, [float(state0.rho)]])
     t = float(state0.t)
-    cfg = params.cfg
-    rhs, jac, failure = _guarded(problem, params)
+    rhs, jac = _packed_flow(problem, params)
 
     def measure(t, y):
-        """The trajectory row [t, rho, psi, g, f, fbar, *x] of (t, y)."""
+        """The trajectory row [t, rho, psi, g, f, fbar, *x] of (t, y) and
+        the constraint values at x."""
         x, rho = y[:-1], float(y[-1])
-        psi, g, f = measure_state(problem, x, rho, cfg)
-        return [t, rho, psi, g, f, f + rho * psi, *x]
+        psi, g, f, cvals = measure_state(problem, x, rho, params)
+        return [t, rho, psi, g, f, f + rho * psi, *x], cvals
 
-    def done(row):
-        return row[2] <= stop.eps_psi and row[3] <= stop.eps_g
-
-    try:
-        row = measure(t, y)
-    except (EvaluationError, FactorOverflowError) as exc:
-        return SolveResult(
-            status="rhs_failure", x=y[:-1].copy(), rho=float(y[-1]), t=t,
-            psi=math.nan, g=math.nan, f=math.nan,
-            trajectory=np.zeros((0, y.size + 5)), accepted_steps=0,
-            warnings=[f"rhs failure at t={t:g}: {exc}"])
-    rows = [row]
-    accepted = 0
-    warnings = []
-    if done(row):
-        status = "converged"
-    elif t == stop.t_max:
-        status = "t_max_reached"
-    else:
-        status = None
-
-    restarts = 0
+    rows, warnings = [], []
+    accepted = restarts = 0
+    status = stepper = None
     t_anchor = t
-    while status is None:
-        stepper = BDF(rhs, t, y, t_bound=stop.t_max, jac=jac,
-                      rtol=config.rtol, atol=config.atol,
-                      first_step=min(_FIRST_STEP, stop.t_max - t))
-        while status is None and stepper.status == "running":
-            try:
-                stepper.step()
-            except ValueError:
-                # the NaN output of a flagged RHS makes the LU refuse it;
-                # any other raise is a fault in the evaluators
-                if failure["exc"] is None:
-                    raise
-            if failure["exc"] is not None:
-                warnings.append(
-                    f"rhs failure at t={stepper.t:g}: {failure['exc']}")
-                status = "rhs_failure"
-            elif stepper.status != "failed":
-                try:
-                    row = measure(stepper.t, stepper.y)
-                except (EvaluationError, FactorOverflowError) as exc:
-                    # the result keeps the last state that measured
-                    warnings.append(f"rhs failure at t={stepper.t:g}: {exc}")
-                    status = "rhs_failure"
-                    break
-                t, y = stepper.t, stepper.y
-                accepted += 1
-                if accepted % _SAMPLE_STRIDE == 0:
-                    rows.append(row)
-                if done(row):
+    try:
+        row, cvals = measure(t, y)
+        rows.append(row)
+        # a Newton update whose norm overflows reads inf: the iteration
+        # counts it as divergence, or the next RHS call fails with a
+        # typed error, so numpy's overflow warning adds nothing
+        with np.errstate(over="ignore"):
+            while True:
+                if row[2] <= stop.eps_psi and row[3] <= stop.eps_g:
                     status = "converged"
                 elif row[1] > stop.rho_max:
                     status = "rho_max_reached"
                 elif accepted >= stop.max_steps:
                     status = "step_budget_exhausted"
-        if status is not None:
-            break
-        if stepper.status == "finished":
-            status = "t_max_reached"
-            break
-        # stepper stalled: rebuild from the last accepted state, but only
-        # while rebuilds keep advancing t
-        restarts += 1
-        if restarts > _MAX_RESTARTS or (t <= t_anchor and restarts > 1):
-            warnings.append(
-                f"stiff stepper failed at t={t:g} after {restarts} restarts")
-            status = "rhs_failure"
-        t_anchor = t
+                elif t == stop.t_max:
+                    status = "t_max_reached"
+                if status is not None:
+                    break
+                if stepper is None:
+                    stepper = BDF(rhs, t, y, t_bound=stop.t_max, jac=jac,
+                                  rtol=config.rtol, atol=config.atol,
+                                  first_step=min(_FIRST_STEP,
+                                                 stop.t_max - t))
+                stepper.step()
+                if stepper.status == "failed":
+                    # stalled: rebuild from the last accepted state, but
+                    # only while rebuilds keep advancing t
+                    restarts += 1
+                    if restarts > _MAX_RESTARTS or (t <= t_anchor
+                                                    and restarts > 1):
+                        warnings.append(f"stiff stepper failed at t={t:g} "
+                                        f"after {restarts} restarts")
+                        status = "rhs_failure"
+                        break
+                    t_anchor, stepper = t, None
+                    continue
+                row, cvals = measure(stepper.t, stepper.y)
+                t, y = stepper.t, stepper.y
+                accepted += 1
+                if accepted % _SAMPLE_STRIDE == 0:
+                    rows.append(row)
+    except (EvaluationError, FactorOverflowError) as exc:
+        # a failed step leaves the stepper at the last accepted t; a
+        # failed measurement names the step it could not measure
+        at = t if stepper is None else stepper.t
+        warnings.append(f"rhs failure at t={at:g}: {exc}")
+        status = "rhs_failure"
 
+    if not rows:
+        return SolveResult(
+            status=status, x=y[:-1].copy(), rho=float(y[-1]), t=t,
+            psi=math.nan, g=math.nan, f=math.nan,
+            trajectory=np.zeros((0, y.size + 5)), accepted_steps=0,
+            warnings=warnings)
     # row is the measurement of (t, y), already kept if it was sampled
     if rows[-1] is not row:
         rows.append(row)
     _, rho, psi, g, f = row[:5]
+    mu = penalty_weights(cvals, rho, params.m)
     return SolveResult(
         status=status, x=y[:-1].copy(), rho=rho, t=t, psi=psi, g=g, f=f,
         trajectory=np.array(rows, dtype=float), accepted_steps=accepted,
-        restarts=restarts, warnings=warnings)
-
-
-def solve(problem: Problem, params: FlowParams, state0: FlowState,
-          stop: StopCriteria, config: IntegratorConfig) -> SolveResult:
-    """integrate, then attach multipliers and KKT residuals at the final
-    state. The termination status is unchanged. When not even the start
-    state could be evaluated there is no final state, and mu and kkt
-    stay None."""
-    result = integrate(problem, params, state0, stop, config)
-    if len(result.trajectory):
-        result.mu = extract_multipliers(problem, result.x, result.rho,
-                                        params.cfg)
-        result.kkt = kkt_residuals(problem, result.x, result.mu)
-    return result
+        restarts=restarts, warnings=warnings, mu=mu,
+        kkt=_kkt_report(g, cvals, mu))

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import PenaltyConfig, Problem, _norm, evaluate, penalty_weights
+from .flow import FlowParams
+from .problem import Problem, _norm, evaluate, penalty_weights
 
 __all__ = ["KktReport", "extract_multipliers", "kkt_residuals"]
 
@@ -31,17 +32,19 @@ class KktReport:
     complementarity: float
 
 
-def extract_multipliers(problem: Problem, x, rho: float, cfg: PenaltyConfig):
-    """Recover multipliers mu_i = rho * m * max(0, c_i(x))^(m-1).
+def extract_multipliers(problem: Problem, x, rho: float,
+                        params: FlowParams):
+    """Recover multipliers mu_i = rho * m * max(0, c_i(x))^(m-1), with m
+    the penalty exponent of ``params``.
 
     Inactive constraints (c_i < 0) get mu_i = 0; the output is always
     dual feasible. Shares its arithmetic with the weighted-cost gradient,
     so stationarity evaluated with these multipliers reproduces the g of
-    measure_state(problem, x, rho, cfg) bitwise. A non-finite evaluator
-    output at x raises EvaluationError.
+    measure_state(problem, x, rho, params) bitwise. A non-finite
+    evaluator output at x raises EvaluationError.
     """
     _, cvals, _ = evaluate(problem, x)
-    return penalty_weights(cvals, rho, cfg.m)
+    return penalty_weights(cvals, rho, params.m)
 
 
 def kkt_residuals(problem: Problem, x, mu) -> KktReport:
@@ -59,8 +62,14 @@ def kkt_residuals(problem: Problem, x, mu) -> KktReport:
         raise ValueError(
             f"mu has shape {mu.shape}, expected ({problem.n_c},)")
     grad, cvals, jac = evaluate(problem, x)
+    return _kkt_report(_norm(grad + mu @ jac), cvals, mu)
+
+
+def _kkt_report(stationarity, cvals, mu) -> KktReport:
+    """The residuals at x from the stationarity norm, the constraint
+    values c(x) and the multipliers."""
     return KktReport(
-        stationarity=_norm(grad + mu @ jac),
+        stationarity=stationarity,
         primal_infeasibility=float(np.max(np.maximum(cvals, 0.0), initial=0.0)),
         dual_infeasibility=float(np.max(np.maximum(-mu, 0.0), initial=0.0)),
         complementarity=float(np.max(np.abs(mu * cvals), initial=0.0)),

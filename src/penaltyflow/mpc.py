@@ -161,7 +161,7 @@ def mpc_step(pqp: ParametricQp, xi, params: FlowParams,
     state reached; the caller sees the status on the result.
     """
     data = instantiate(pqp, xi)
-    problem = qp_problem(data, params.cfg)
+    problem = qp_problem(data)
     n = data.n
     if warm is not None:
         warm = np.asarray(warm, dtype=float)

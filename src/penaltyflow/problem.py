@@ -1,8 +1,8 @@
 """Differentiable inequality-constrained problems and the exact-penalty
 machinery built on them: ``evaluate``, the one checked call of a
 problem's f_x, c and c_x; the penalty weights; and ``measure_state``,
-which reads the penalty psi, the gradient norm g and the objective f of
-a state off one evaluation.
+which reads the penalty psi, the gradient norm g, the objective f and
+the constraint values of a state off one evaluation.
 
 Constraint convention throughout the package: every constraint is stored
 as c_i(x) <= 0. Builders that accept other forms (Ax <= B, bounds) must
@@ -147,26 +147,28 @@ def evaluate(problem: Problem, x):
     return grad, cvals, jac
 
 
-def measure_state(problem: Problem, x, rho: float, cfg: PenaltyConfig):
-    """(psi, g, f) at (x, rho) from one evaluation of f, f_x, c and c_x:
-    the penalty psi = sum_i max(0, c_i)^m, zero iff x is feasible; the
-    norm g of the weighted-cost gradient
+def measure_state(problem: Problem, x, rho: float, params):
+    """(psi, g, f, c) at (x, rho) from one evaluation of f, f_x, c and
+    c_x, with m the penalty exponent of the FlowParams ``params``: the
+    penalty psi = sum_i max(0, c_i)^m, zero iff x is feasible; the norm g
+    of the weighted-cost gradient
 
         fbar_x = f_x + rho * m * sum_i max(0, c_i)^(m-1) * dc_i/dx;
 
-    and the objective f. The weighted cost itself is f + rho * psi. A
-    non-finite f raises EvaluationError(None), and so does a g that
-    overflows."""
+    the objective f; and the constraint values c(x), off which the
+    multipliers and KKT residuals of a final state are read. The
+    weighted cost itself is f + rho * psi. A non-finite f raises
+    EvaluationError(None), and so does a g that overflows."""
     grad, cvals, jac = evaluate(problem, x)
     f = float(problem.f(x))
     if not math.isfinite(f):
         raise EvaluationError(None)
-    fbar_x = _weighted_grad(grad, cvals, jac, rho, cfg.m)
+    fbar_x = _weighted_grad(grad, cvals, jac, rho, params.m)
     with np.errstate(over="ignore"):
         g = _norm(fbar_x)
     if not math.isfinite(g):
         raise EvaluationError(None, "gradient norm")
-    return _penalty(cvals, cfg.m), g, f
+    return _penalty(cvals, params.m), g, f, cvals
 
 
 @dataclass(frozen=True)
@@ -213,8 +215,7 @@ def _rel_error(analytic, fd) -> float:
                      / max(1.0, float(np.linalg.norm(fd))))
 
 
-def check_gradients(problem: Problem, x, step: float,
-                    cfg: PenaltyConfig) -> GradCheckReport:
+def check_gradients(problem: Problem, x, step: float) -> GradCheckReport:
     """Compare f_x, the constraint Jacobian and, when the problem has
     one, the Hessian hook against central differences.
 

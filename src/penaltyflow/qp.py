@@ -82,7 +82,8 @@ class QpData:
 def qp_problem(data: QpData, cfg: PenaltyConfig = PenaltyConfig()) -> Problem:
     """Wrap QpData as a Problem with analytic derivatives:
     f = (1/2) x'Hx + F'x, c = Ax - B, and the Lagrangian Hessian H
-    (the constraints are linear)."""
+    (the constraints are linear). ``cfg`` is not read: the penalty
+    exponent is FlowParams.m."""
     H, F, A, B = data.H, data.F, data.A, data.B
 
     def f(x):
@@ -339,7 +340,7 @@ def run_benchmark(count: int, n: int, n_c: int, params: FlowParams,
     for i in range(count):
         s = seed + i
         data, _ = generate_random_qp(n, n_c, s)
-        problem = qp_problem(data, params.cfg)
+        problem = qp_problem(data)
         t0 = time.perf_counter()
         row = BenchRow(seed=s, n=n, nc=n_c, status="", psi_final=np.nan,
                        g_final=np.nan, f_flow=np.nan, f_oracle=np.nan,

@@ -13,7 +13,7 @@ import pytest
 import penaltyflow as pf
 from penaltyflow.flow import (exp_factor, fbar_dot_identity, flow_jacobian,
                               flow_rhs, series_factor)
-from penaltyflow.problem import PenaltyConfig, check_gradients
+from penaltyflow.problem import check_gradients
 
 BENCH_COUNT = 50
 BENCH_N = 15
@@ -111,11 +111,10 @@ def test_criterion_2_trajectory_shape(bench_report):
 
 def test_criterion_3_flow_identity():
     rng = np.random.default_rng(11)
-    cfg = PenaltyConfig(m=2)
     problems = []
     for s in range(6):
         data, _ = pf.generate_random_qp(6, 4, seed=s)
-        problems.append(pf.qp_problem(data, cfg))
+        problems.append(pf.qp_problem(data))
     problems.append(pf.binarize(_knapsack()))
     problems.append(pf.binarize(_seeded_binary(0)))
     problems.append(pf.binarize(_seeded_binary(1)))
@@ -147,11 +146,10 @@ def test_criterion_3_flow_identity():
 
 def test_criterion_4_gradient_suite():
     rng = np.random.default_rng(7)
-    cfg = PenaltyConfig(m=2)
     problems = []
     for s in range(3):
         data, _ = pf.generate_random_qp(6, 4, seed=s)
-        problems.append(pf.qp_problem(data, cfg))
+        problems.append(pf.qp_problem(data))
     problems.append(pf.binarize(_knapsack()))
     problems.append(pf.binarize(_seeded_binary(0)))
     worst = 0.0
@@ -162,7 +160,7 @@ def test_criterion_4_gradient_suite():
             x = rng.standard_normal(prob.n)
             if np.min(np.abs(prob.c(x))) <= 1e-3:
                 continue
-            rep = check_gradients(prob, x, 1e-6, cfg)
+            rep = check_gradients(prob, x, 1e-6)
             worst = max(worst, rep.worst)
             taken += 1
             points += 1

@@ -10,7 +10,7 @@ from scipy.linalg import LinAlgWarning
 import penaltyflow as pf
 from penaltyflow.bdf import BDF
 from penaltyflow.binary import BINARY_Q
-from penaltyflow.integrator import _guarded
+from penaltyflow.integrator import _packed_flow
 
 
 def _seeded_binary():
@@ -34,13 +34,13 @@ def _cases():
         B=np.array([-1.0])))
     binary = pf.binarize(_seeded_binary())
     return {
-        "qp": (*_guarded(qp, pf.FlowParams())[:2], np.zeros(16), 1e24,
+        "qp": (*_packed_flow(qp, pf.FlowParams()), np.zeros(16), 1e24,
                "running"),
         # the binarized Hessian hook at q = 4
-        "binary": (*_guarded(binary, pf.FlowParams(q=BINARY_Q))[:2],
+        "binary": (*_packed_flow(binary, pf.FlowParams(q=BINARY_Q)),
                    np.full(7, 0.5), 1e24, "finished"),
         # the last step is cut to t_bound
-        "clipped": (*_guarded(halfspace, pf.FlowParams())[:2], np.zeros(3),
+        "clipped": (*_packed_flow(halfspace, pf.FlowParams()), np.zeros(3),
                     1.0, "finished"),
         "wall": (_wall, lambda t, y: -np.eye(2), np.ones(2), 1e24, "failed"),
     }

@@ -10,7 +10,7 @@ import penaltyflow as pf
 from penaltyflow import binary
 from penaltyflow.binary import BINARY_Q
 from penaltyflow.errors import EnumerationBoundError
-from penaltyflow.problem import PenaltyConfig, check_gradients, measure_state
+from penaltyflow.problem import check_gradients, measure_state
 
 
 def _knapsack():
@@ -75,15 +75,15 @@ class TestBinarize:
 
     def test_binary_point_has_zero_penalty(self):
         prob = pf.binarize(_knapsack())
-        psi, _, _ = measure_state(prob, np.array([0.0, 1.0]), 0.0,
-                                  PenaltyConfig(m=2))
+        psi = measure_state(prob, np.array([0.0, 1.0]), 0.0,
+                            pf.FlowParams(m=2))[0]
         assert psi == 0.0
 
     def test_interior_point_penalty_value(self):
         # only x0 - x0^2 = 0.25 is active at (0.5, 0)
         prob = pf.binarize(_knapsack())
-        psi, _, _ = measure_state(prob, np.array([0.5, 0.0]), 0.0,
-                                  PenaltyConfig(m=2))
+        psi = measure_state(prob, np.array([0.5, 0.0]), 0.0,
+                            pf.FlowParams(m=2))[0]
         assert psi == 0.0625
 
     def test_constraint_order(self):
@@ -98,8 +98,7 @@ class TestBinarize:
         H = rng.standard_normal((4, 4))
         bp = pf.binary_quadratic(H, rng.standard_normal(4))
         prob = pf.binarize(bp)
-        rep = check_gradients(prob, rng.uniform(0.1, 0.9, size=4), 1e-6,
-                              PenaltyConfig(m=2))
+        rep = check_gradients(prob, rng.uniform(0.1, 0.9, size=4), 1e-6)
         assert rep.worst <= 1e-5
 
     def test_objective_override(self):
@@ -122,7 +121,7 @@ class TestBinarize:
         for prob in (pf.binarize(_knapsack()), pf.binarize(bumped)):
             for _ in range(4):
                 rep = check_gradients(prob, rng.uniform(-0.2, 1.2, prob.n),
-                                      1e-6, PenaltyConfig(m=2))
+                                      1e-6)
                 assert rep.hess_error <= 1e-7
 
     def test_no_hessian_hook(self):

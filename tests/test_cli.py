@@ -54,10 +54,10 @@ class TestSolveQp:
 
     def test_unevaluable_start(self, tmp_path, capsys, monkeypatch):
         # a run that measured no state reports no KKT residuals
-        def failing_problem(data, cfg):
+        def failing_problem(data):
             def c(x):
                 raise EvaluationError(0)
-            return dataclasses.replace(pf.qp_problem(data, cfg), c=c)
+            return dataclasses.replace(pf.qp_problem(data), c=c)
 
         monkeypatch.setattr(cli, "qp_problem", failing_problem)
         rc = main(["solve-qp", _descent_qp(tmp_path)])

@@ -1,5 +1,6 @@
 """Stepper, integration loop, stopping, and sampling tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,51 +70,51 @@ def _hess_fails_past_half(bad):
 
 class TestIntegrate:
     def test_unconstrained_rho_stays_zero(self):
-        res = pf.integrate(_unconstrained_quad(), pf.FlowParams(),
-                           pf.FlowState(x=np.array([1.0, 1.0])),
-                           pf.StopCriteria(), pf.IntegratorConfig())
+        res = pf.solve(_unconstrained_quad(), pf.FlowParams(),
+                       pf.FlowState(x=np.array([1.0, 1.0])),
+                       pf.StopCriteria(), pf.IntegratorConfig())
         assert res.status == "converged"
         assert res.rho == 0.0
         assert np.linalg.norm(res.x) <= pf.StopCriteria().eps_g
         assert res.psi == 0.0
 
     def test_infeasible_hits_rho_ceiling(self):
-        res = pf.integrate(_const_infeasible(), pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(1)),
-                           pf.StopCriteria(), pf.IntegratorConfig())
+        res = pf.solve(_const_infeasible(), pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(1)),
+                       pf.StopCriteria(), pf.IntegratorConfig())
         assert res.status == "rho_max_reached"
         assert res.rho > pf.StopCriteria().rho_max
         assert res.psi == 1.0
 
     def test_halfspace_projection(self, halfspace_problem):
-        res = pf.integrate(halfspace_problem, pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2)),
-                           pf.StopCriteria(), pf.IntegratorConfig())
+        res = pf.solve(halfspace_problem, pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2)),
+                       pf.StopCriteria(), pf.IntegratorConfig())
         assert res.status == "converged"
         np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-3)
         assert res.psi <= pf.StopCriteria().eps_psi
         assert res.g <= pf.StopCriteria().eps_g
 
     def test_already_converged_initial_state(self):
-        res = pf.integrate(_unconstrained_quad(), pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2)),
-                           pf.StopCriteria(), pf.IntegratorConfig())
+        res = pf.solve(_unconstrained_quad(), pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2)),
+                       pf.StopCriteria(), pf.IntegratorConfig())
         assert res.status == "converged"
         assert res.accepted_steps == 0
         assert res.trajectory.shape[0] == 1
 
     def test_t_max_reached(self, halfspace_problem):
-        res = pf.integrate(halfspace_problem, pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2)),
-                           pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
+        res = pf.solve(halfspace_problem, pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2)),
+                       pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
         assert res.status == "t_max_reached"
         assert res.t == pytest.approx(1.0)
 
     def test_step_budget_exhausted(self, halfspace_problem):
-        res = pf.integrate(halfspace_problem, pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2)),
-                           pf.StopCriteria(max_steps=5),
-                           pf.IntegratorConfig())
+        res = pf.solve(halfspace_problem, pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2)),
+                       pf.StopCriteria(max_steps=5),
+                       pf.IntegratorConfig())
         assert res.status == "step_budget_exhausted"
         assert res.accepted_steps == 5
 
@@ -123,8 +124,8 @@ class TestIntegrate:
                       f_x=lambda x: np.zeros(1),
                       c=lambda x: np.zeros(0),
                       c_x=lambda x: np.zeros((0, 1)))
-        res = pf.integrate(bad, pf.FlowParams(), pf.FlowState(x=np.ones(1)),
-                           pf.StopCriteria(), pf.IntegratorConfig())
+        res = pf.solve(bad, pf.FlowParams(), pf.FlowState(x=np.ones(1)),
+                       pf.StopCriteria(), pf.IntegratorConfig())
         assert res.status == "rhs_failure"
         assert res.trajectory.shape == (0, 7)
         assert math.isnan(res.psi)
@@ -134,9 +135,9 @@ class TestIntegrate:
         # the stepper evaluates f_x; f is evaluated only by the post-step
         # measurement. Either way the result holds the last good state.
         for field in ("f_x", "f"):
-            res = pf.integrate(_fails_past_half(EvaluationError(None), field),
-                               pf.FlowParams(), pf.FlowState(x=np.zeros(2)),
-                               pf.StopCriteria(), pf.IntegratorConfig())
+            res = pf.solve(_fails_past_half(EvaluationError(None), field),
+                           pf.FlowParams(), pf.FlowState(x=np.zeros(2)),
+                           pf.StopCriteria(), pf.IntegratorConfig())
             assert res.status == "rhs_failure"
             assert any("rhs failure" in w for w in res.warnings)
             assert res.x[0] <= 0.5 and math.isfinite(res.f)
@@ -144,11 +145,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("bad", [EvaluationError(None), None],
                              ids=["raises", "nan"])
     def test_midrun_hessian_failure(self, bad):
-        # the exact Jacobian runs under the RHS failure flag: a failing
-        # Hessian hook ends the run as rhs_failure, not in a traceback
-        res = pf.integrate(_hess_fails_past_half(bad), pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
-                           pf.IntegratorConfig())
+        # the exact Jacobian fails like the RHS: a failing Hessian hook
+        # ends the run as rhs_failure, not in a traceback
+        res = pf.solve(_hess_fails_past_half(bad), pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
+                       pf.IntegratorConfig())
         assert res.status == "rhs_failure"
         assert any("rhs failure" in w for w in res.warnings)
         assert res.x[0] <= 1.0 and math.isfinite(res.f)
@@ -157,15 +158,15 @@ class TestIntegrate:
         # a fault in user code is not a solver outcome: it must not be
         # swallowed as a stepper stall and retried
         with pytest.raises(KeyError):
-            pf.integrate(_fails_past_half(KeyError("bug")), pf.FlowParams(),
-                         pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
-                         pf.IntegratorConfig())
+            pf.solve(_fails_past_half(KeyError("bug")), pf.FlowParams(),
+                     pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
+                     pf.IntegratorConfig())
 
     def test_negative_rho_rejected(self, halfspace_problem):
         with pytest.raises(ValueError):
-            pf.integrate(halfspace_problem, pf.FlowParams(),
-                         pf.FlowState(x=np.zeros(2), rho=-1.0),
-                         pf.StopCriteria(), pf.IntegratorConfig())
+            pf.solve(halfspace_problem, pf.FlowParams(),
+                     pf.FlowState(x=np.zeros(2), rho=-1.0),
+                     pf.StopCriteria(), pf.IntegratorConfig())
 
     @pytest.mark.parametrize("x, rho, t, field", [
         (np.zeros(2), math.nan, 0.0, "rho"),
@@ -180,23 +181,70 @@ class TestIntegrate:
     def test_bad_initial_state_rejected(self, halfspace_problem, x, rho, t,
                                         field):
         with pytest.raises(ValueError, match=f"initial {field}"):
-            pf.integrate(halfspace_problem, pf.FlowParams(),
-                         pf.FlowState(x=x, rho=rho, t=t),
-                         pf.StopCriteria(), pf.IntegratorConfig())
+            pf.solve(halfspace_problem, pf.FlowParams(),
+                     pf.FlowState(x=x, rho=rho, t=t),
+                     pf.StopCriteria(), pf.IntegratorConfig())
 
     def test_start_past_horizon_rejected(self, halfspace_problem):
         # stepping would run the flow backward in time
         with pytest.raises(ValueError, match="initial t"):
-            pf.integrate(halfspace_problem, pf.FlowParams(),
-                         pf.FlowState(x=np.zeros(2), t=10.0),
-                         pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
+            pf.solve(halfspace_problem, pf.FlowParams(),
+                     pf.FlowState(x=np.zeros(2), t=10.0),
+                     pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
 
     def test_start_at_horizon(self, halfspace_problem):
-        res = pf.integrate(halfspace_problem, pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2), t=1.0),
-                           pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
+        res = pf.solve(halfspace_problem, pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2), t=1.0),
+                       pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
         assert res.status == "t_max_reached"
         assert res.accepted_steps == 0 and res.t == 1.0
+
+    def test_start_past_rho_ceiling(self, halfspace_problem):
+        # the stop criteria are checked at the start state as well
+        res = pf.solve(halfspace_problem, pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2), rho=2.0),
+                       pf.StopCriteria(rho_max=1.0), pf.IntegratorConfig())
+        assert res.status == "rho_max_reached"
+        assert res.accepted_steps == 0 and res.rho == 2.0
+
+    def test_stalled_stepper_is_rebuilt(self):
+        # criterion-1 seed 17 stalls twice on its way to convergence
+        data, _ = pf.generate_random_qp(15, 20, seed=17)
+        res = pf.solve(pf.qp_problem(data), pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(15)), pf.StopCriteria(),
+                       pf.IntegratorConfig())
+        assert res.status == "converged"
+        assert res.restarts == 2 and res.warnings == []
+
+    def test_rebuilds_without_progress_end_the_run(self):
+        # the gradient sign(x) of f = |x| never vanishes, so the flow
+        # chatters across x = 0: the stepper stalls there, every rebuild
+        # from the last accepted state stalls again, and the restart
+        # ceiling ends the run
+        absolute = Problem(n=1, n_c=0, f=lambda x: abs(float(x[0])),
+                           f_x=np.sign, c=lambda x: np.zeros(0),
+                           c_x=lambda x: np.zeros((0, 1)),
+                           hess=lambda x, w: np.zeros((1, 1)))
+        res = pf.solve(absolute, pf.FlowParams(),
+                       pf.FlowState(x=np.ones(1)), pf.StopCriteria(),
+                       pf.IntegratorConfig())
+        assert res.status == "rhs_failure"
+        assert (res.restarts, res.accepted_steps) == (101, 440)
+        assert res.warnings == [
+            "stiff stepper failed at t=0.9999 after 101 restarts"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_factor_overflow_is_the_only_report(self):
+        # a Newton norm overflows on the way to the scaling-factor
+        # overflow; only the typed failure reaches the caller
+        data, _ = pf.generate_random_qp(15, 20, seed=3)
+        res = pf.solve(pf.qp_problem(data),
+                       pf.FlowParams(lam=1.0, mode="exponential"),
+                       pf.FlowState(x=np.zeros(15)), pf.StopCriteria(),
+                       pf.IntegratorConfig())
+        assert res.status == "rhs_failure"
+        assert len(res.warnings) == 1
+        assert "scaling factor overflow" in res.warnings[0]
 
 
 class TestTrajectory:
@@ -204,9 +252,9 @@ class TestTrajectory:
         assert trajectory_header(2) == "t,rho,psi,g,f,fbar,x0,x1"
 
     def test_rows_and_monotonicity(self, halfspace_problem):
-        res = pf.integrate(halfspace_problem, pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
-                           pf.IntegratorConfig())
+        res = pf.solve(halfspace_problem, pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
+                       pf.IntegratorConfig())
         traj = res.trajectory
         assert traj.shape[1] == 8
         assert traj[0, 0] == 0.0
@@ -219,16 +267,16 @@ class TestTrajectory:
     def test_sample_stride_decimation(self, halfspace_problem):
         # the initial state, every 10th accepted step, and the final
         # state unless its step was one of those
-        res = pf.integrate(halfspace_problem, pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
-                           pf.IntegratorConfig())
+        res = pf.solve(halfspace_problem, pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
+                       pf.IntegratorConfig())
         a = res.accepted_steps
         assert res.trajectory.shape[0] == 1 + a // 10 + (1 if a % 10 else 0)
 
     def test_save_trajectory_roundtrip(self, halfspace_problem, tmp_path):
-        res = pf.integrate(halfspace_problem, pf.FlowParams(),
-                           pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
-                           pf.IntegratorConfig())
+        res = pf.solve(halfspace_problem, pf.FlowParams(),
+                       pf.FlowState(x=np.zeros(2)), pf.StopCriteria(),
+                       pf.IntegratorConfig())
         path = tmp_path / "traj.csv"
         pf.save_trajectory(res, path)
         text = path.read_text().splitlines()
@@ -283,6 +331,27 @@ class TestSolveAndDeterminism:
                        pf.StopCriteria(), pf.IntegratorConfig())
         assert res.status == "rhs_failure"
         assert res.mu is None and res.kkt is None
+
+    def test_final_state_evaluated_once(self):
+        # mu and the KKT report are read off the evaluation that measured
+        # the final state, not off evaluations of their own
+        data, _ = pf.generate_random_qp(15, 20, seed=0)
+        problem = pf.qp_problem(data)
+        seen = {name: [] for name in ("f", "f_x", "c", "c_x")}
+
+        def recorded(name):
+            def call(x):
+                seen[name].append(np.array(x, dtype=float))
+                return getattr(problem, name)(x)
+            return call
+
+        res = pf.solve(dataclasses.replace(problem, **{
+                           name: recorded(name) for name in seen}),
+                       pf.FlowParams(), pf.FlowState(x=np.zeros(15)),
+                       pf.StopCriteria(), pf.IntegratorConfig())
+        assert res.status == "converged" and res.kkt is not None
+        for name, xs in seen.items():
+            assert sum(np.array_equal(x, res.x) for x in xs) == 1, name
 
     def test_converged_solve_has_no_warnings(self):
         # warnings carry failure detail only; a clean solve has none

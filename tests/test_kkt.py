@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import penaltyflow as pf
-from penaltyflow.problem import PenaltyConfig, measure_state
+from penaltyflow.problem import measure_state
 
 
 def _quad_problem(H, F, A=None, B=None):
@@ -15,8 +15,7 @@ def _quad_problem(H, F, A=None, B=None):
                                    A=np.zeros((0, len(F))) if A is None
                                    else np.asarray(A, dtype=float),
                                    B=np.zeros(0) if B is None
-                                   else np.asarray(B, dtype=float)),
-                         PenaltyConfig(m=2))
+                                   else np.asarray(B, dtype=float)))
 
 
 class TestExtractMultipliers:
@@ -24,18 +23,18 @@ class TestExtractMultipliers:
         # rho * m * c^(m-1) = 10 * 2 * 0.01
         prob = _quad_problem(np.eye(1), [0.0], A=[[1.0]], B=[0.0])
         mu = pf.extract_multipliers(prob, np.array([0.01]), 10.0,
-                                    PenaltyConfig(m=2))
+                                    pf.FlowParams(m=2))
         np.testing.assert_allclose(mu, [0.2], rtol=1e-15)
 
     def test_inactive_constraint_zero(self):
         prob = _quad_problem(np.eye(1), [0.0], A=[[1.0]], B=[0.0])
         mu = pf.extract_multipliers(prob, np.array([-0.5]), 1e8,
-                                    PenaltyConfig(m=2))
+                                    pf.FlowParams(m=2))
         assert mu[0] == 0.0
 
     def test_no_constraints_empty(self):
         prob = _quad_problem(np.eye(2), [1.0, 1.0])
-        mu = pf.extract_multipliers(prob, np.zeros(2), 5.0, PenaltyConfig())
+        mu = pf.extract_multipliers(prob, np.zeros(2), 5.0, pf.FlowParams())
         assert mu.shape == (0,)
 
     def test_halfspace_flow_multiplier(self, halfspace_problem):
@@ -51,21 +50,22 @@ class TestExtractMultipliers:
             x = rng.standard_normal(2) * 3.0
             rho = float(rng.uniform(0.0, 1e6))
             mu = pf.extract_multipliers(halfspace_problem, x, rho,
-                                        PenaltyConfig(m=2))
+                                        pf.FlowParams(m=2))
             assert np.all(mu >= 0.0)
 
     def test_stationarity_matches_g(self, halfspace_problem):
         # penalty-gradient identity: ||f_x + mu @ c_x|| == g(x, rho),
         # bit for bit
-        cfg = PenaltyConfig(m=2)
+        params = pf.FlowParams(m=2)
         rng = np.random.default_rng(11)
         for _ in range(30):
             x = rng.standard_normal(2) * 2.0
             rho = float(rng.uniform(0.0, 1e4))
-            mu = pf.extract_multipliers(halfspace_problem, x, rho, cfg)
+            mu = pf.extract_multipliers(halfspace_problem, x, rho, params)
             rep = pf.kkt_residuals(halfspace_problem, x, mu)
-            _, g, _ = measure_state(halfspace_problem, x, rho, cfg)
+            _, g, _, c = measure_state(halfspace_problem, x, rho, params)
             assert rep.stationarity == g
+            np.testing.assert_array_equal(c, halfspace_problem.c(x))
 
 
 class TestKktResiduals:
@@ -91,7 +91,7 @@ class TestKktResiduals:
 
     def test_flow_vs_oracle_multipliers(self):
         data, _ = pf.generate_random_qp(6, 4, seed=2)
-        prob = pf.qp_problem(data, PenaltyConfig(m=2))
+        prob = pf.qp_problem(data)
         res = pf.solve(prob, pf.FlowParams(), pf.FlowState(x=np.zeros(6)),
                        pf.StopCriteria(), pf.IntegratorConfig())
         assert res.status == "converged"
@@ -122,7 +122,7 @@ class TestKktResiduals:
             pf.kkt_residuals(prob, np.zeros(2), np.ones(1))
         assert exc.value.index == 0
         with pytest.raises(pf.EvaluationError):
-            pf.extract_multipliers(prob, np.zeros(2), 1.0, PenaltyConfig())
+            pf.extract_multipliers(prob, np.zeros(2), 1.0, pf.FlowParams())
 
     def test_residuals_nonnegative_random(self, halfspace_problem):
         rng = np.random.default_rng(19)

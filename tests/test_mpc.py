@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import penaltyflow as pf
-from penaltyflow.problem import PenaltyConfig, check_gradients
+from penaltyflow.problem import check_gradients
 
 
 def _scalar_pqp(u_max):
@@ -126,8 +126,7 @@ class TestInstantiate:
         _, pqp, xi0 = demo
         prob = pf.qp_problem(pf.instantiate(pqp, xi0))
         rng = np.random.default_rng(0)
-        rep = check_gradients(prob, rng.standard_normal(pqp.N), 1e-6,
-                              PenaltyConfig())
+        rep = check_gradients(prob, rng.standard_normal(pqp.N), 1e-6)
         assert rep.worst <= 1e-6
 
     def test_dimension_mismatch(self, demo):

@@ -1,4 +1,4 @@
-"""The state measure (psi, g, f), the weighted cost and its gradient as
+"""The state measure (psi, g, f, c), the weighted cost and its gradient as
 the solver computes them, and the finite-difference gradient checker.
 
 psi, g and f come from ``measure_state``, the weighted cost is
@@ -9,12 +9,12 @@ each class tests."""
 import numpy as np
 import pytest
 
-from penaltyflow import (EvaluationError, FlowParams, FlowState,
-                         PenaltyConfig, Problem, check_gradients, flow_rhs,
-                         generate_random_qp, qp_problem)
+from penaltyflow import (EvaluationError, FlowParams, FlowState, Problem,
+                         check_gradients, flow_rhs, generate_random_qp,
+                         qp_problem)
 from penaltyflow.problem import measure_state, penalty_weights
 
-M2 = PenaltyConfig(m=2)
+M2 = FlowParams(m=2)
 
 
 def _scalar_boundary(f=None, f_x=None):
@@ -46,7 +46,7 @@ def _g(prob, x, rho):
 
 
 def _fbar(prob, x, rho):
-    psi, _, f = measure_state(prob, x, rho, M2)
+    psi, _, f, _ = measure_state(prob, x, rho, M2)
     return f + rho * psi
 
 
@@ -220,8 +220,7 @@ class TestEvalG:
 
 class TestCheckGradients:
     def test_exact_quadratic(self):
-        rep = check_gradients(_quad(3), np.array([1.0, -2.0, 0.5]),
-                              1e-6, M2)
+        rep = check_gradients(_quad(3), np.array([1.0, -2.0, 0.5]), 1e-6)
         assert rep.worst <= 1e-7
 
     def test_wrong_gradient_is_flagged(self):
@@ -230,25 +229,25 @@ class TestCheckGradients:
             f=lambda x: 0.5 * float(np.dot(x, x)),
             f_x=lambda x: 2.0 * np.asarray(x, dtype=float),
             c=lambda x: np.zeros(0), c_x=lambda x: np.zeros((0, 2)))
-        rep = check_gradients(prob, np.array([1.0, 1.0]), 1e-6, M2)
+        rep = check_gradients(prob, np.array([1.0, 1.0]), 1e-6)
         np.testing.assert_allclose(rep.f_x_error, 1.0, rtol=1e-4)
 
     def test_seeded_qp_instances(self):
         rng = np.random.default_rng(0)
         for seed in range(5):
             data, _ = generate_random_qp(6, 8, seed)
-            prob = qp_problem(data, M2)
-            rep = check_gradients(prob, rng.standard_normal(6), 1e-6, M2)
+            prob = qp_problem(data)
+            rep = check_gradients(prob, rng.standard_normal(6), 1e-6)
             assert rep.worst <= 1e-5
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
-            check_gradients(_quad(2), np.zeros(2), 0.0, M2)
+            check_gradients(_quad(2), np.zeros(2), 0.0)
 
     @pytest.mark.parametrize("step", [np.nan, np.inf])
     def test_step_must_be_finite(self, step):
         with pytest.raises(ValueError, match="step"):
-            check_gradients(_quad(2), np.zeros(2), step, M2)
+            check_gradients(_quad(2), np.zeros(2), step)
 
     def test_nan_deviation_makes_worst_nan(self):
         # a NaN Jacobian entry; max() would keep the finite f_x_error
@@ -258,23 +257,23 @@ class TestCheckGradients:
             f_x=lambda x: np.array([np.cos(x[0])]),
             c=lambda x: np.asarray(x, dtype=float),
             c_x=lambda x: np.array([[np.nan]]))
-        rep = check_gradients(prob, np.array([0.3]), 1e-6, M2)
+        rep = check_gradients(prob, np.array([0.3]), 1e-6)
         assert 0.0 < rep.f_x_error < 1e-6
         assert np.isnan(rep.c_x_error) and np.isnan(rep.worst)
 
     def test_report_worst_is_max_of_fields(self):
-        rep = check_gradients(_quad(2), np.ones(2), 1e-6, M2)
+        rep = check_gradients(_quad(2), np.ones(2), 1e-6)
         assert rep.worst == max(rep.f_x_error, rep.c_x_error)
 
     def test_qp_hessian_hook_exact(self):
         data, _ = generate_random_qp(5, 4, 2)
-        rep = check_gradients(qp_problem(data, M2),
+        rep = check_gradients(qp_problem(data),
                               np.random.default_rng(1).standard_normal(5),
-                              1e-6, M2)
+                              1e-6)
         assert rep.hess_error <= 1e-7
 
     def test_no_hessian_hook_reads_zero(self):
-        rep = check_gradients(_scalar_boundary(), np.array([0.3]), 1e-6, M2)
+        rep = check_gradients(_scalar_boundary(), np.array([0.3]), 1e-6)
         assert rep.hess_error == 0.0
 
     def test_wrong_hessian_is_flagged(self):
@@ -290,7 +289,7 @@ class TestCheckGradients:
                 hess=hess)
         x = np.array([0.4, -0.7])
         good = check_gradients(prob(lambda x, w: (1.0 + 2.0 * w[0])
-                                    * np.eye(2)), x, 1e-6, M2)
-        bad = check_gradients(prob(lambda x, w: np.eye(2)), x, 1e-6, M2)
+                                    * np.eye(2)), x, 1e-6)
+        bad = check_gradients(prob(lambda x, w: np.eye(2)), x, 1e-6)
         assert good.hess_error <= 1e-7
         assert bad.hess_error >= 0.5 and bad.worst == bad.hess_error

@@ -231,10 +231,10 @@ class TestRunBenchmark:
 
     def test_unevaluable_start_recorded(self, monkeypatch):
         # the solver's own failure status, not an error row
-        def failing_problem(data, cfg):
+        def failing_problem(data):
             def c(x):
                 raise EvaluationError(0)
-            return dataclasses.replace(pf.qp_problem(data, cfg), c=c)
+            return dataclasses.replace(pf.qp_problem(data), c=c)
 
         monkeypatch.setattr(qp, "qp_problem", failing_problem)
         rep = pf.run_benchmark(1, 2, 1, pf.FlowParams(), pf.StopCriteria(),
