@@ -45,12 +45,13 @@ ORACLE_N_MAX = 20
 _NATIVE_TOL = 1e-9
 
 
-def native_feasible(problem: Problem, x, tol: float = _NATIVE_TOL) -> bool:
+def native_feasible(problem: Problem, x) -> bool:
     """True when x satisfies every native constraint of ``problem`` to
-    within ``tol``; always true without native constraints."""
+    within 1e-9; always true without native constraints."""
     if problem.n_c == 0:
         return True
-    return bool(np.max(np.asarray(problem.c(x), dtype=float)) <= tol)
+    return bool(np.max(np.asarray(problem.c(x), dtype=float))
+                <= _NATIVE_TOL)
 
 
 def binary_quadratic(H, F, A=None, B=None) -> Problem:
@@ -195,16 +196,15 @@ def deflate_cost(f, centres, amplitudes, x_s, z_s):
 
 @dataclass(frozen=True)
 class DeflationRecord:
-    """One visited local minimum: visit index s, the rounded vertex x_s,
-    its admissible neighbor z_s (None when none exists), its original
-    cost and native feasibility, and the status of the inner solve."""
+    """One visited local minimum: visit index s, the rounded vertex x_s
+    of a converged inner solve, its admissible neighbor z_s (None when
+    none exists), and its original cost and native feasibility."""
 
     s: int
     x_s: np.ndarray
     z_s: Optional[np.ndarray]
     f_original: float
     native_feasible: bool
-    status: str
 
 
 @dataclass
@@ -221,7 +221,10 @@ class BinaryRunResult:
 
     def to_csv(self, path, oracle_f: Optional[float] = None,
                oracle_skipped: bool = False) -> None:
-        header = "s,x_s,f_original,native_feasible,neighbor,status,gap"
+        """One row per record: s, x_s, f_original, native_feasible, z_s
+        (bit strings; z_s empty when none) and gap = f_original -
+        oracle_f ("skipped" past the oracle bound, empty without one)."""
+        header = "s,x_s,f_original,native_feasible,neighbor,gap"
         lines = [header]
         for r in self.records:
             bits = "".join(str(int(b)) for b in r.x_s)
@@ -235,7 +238,7 @@ class BinaryRunResult:
                 gap = fmt(r.f_original - oracle_f)
             lines.append(",".join([
                 str(r.s), bits, fmt(r.f_original),
-                str(r.native_feasible).lower(), nbits, r.status, gap]))
+                str(r.native_feasible).lower(), nbits, gap]))
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -287,8 +290,7 @@ def solve_binary(bp: Problem, params: Optional[FlowParams] = None,
             records.append(DeflationRecord(
                 s=len(records), x_s=x_vertex, z_s=z,
                 f_original=float(bp.f(x_vertex)),
-                native_feasible=native_feasible(bp, x_vertex),
-                status=res.status))
+                native_feasible=native_feasible(bp, x_vertex)))
         if z is None:
             status = "no_neighbor"
             break

@@ -3,6 +3,10 @@
 Subcommands: solve-qp, bench, mpc, minlp, check-grads. Output is CSV
 plus plain-text report lines; plotting is left to external tools. Exit
 codes: 0 success, 2 argument or file parse error, 3 solver failure.
+
+Each subcommand registers only the flags it reads. ``build_parser``
+states a solving one's FlowParams, StopCriteria and IntegratorConfig
+once, and each of their fields becomes a flag showing its default.
 """
 
 import argparse
@@ -16,7 +20,7 @@ from . import fileio
 from .binary import (ORACLE_N_MAX, binarize, brute_force_oracle,
                      solve_binary, BINARY_Q)
 from .errors import FileFormatError, PenaltyFlowError
-from .flow import MODES, FlowParams, FlowState
+from .flow import FlowParams, FlowState
 from .integrator import IntegratorConfig, StopCriteria, solve, save_trajectory
 from .mpc import DEMO_STOP, condense, double_integrator_demo, Plant, \
     simulate_closed_loop
@@ -46,45 +50,34 @@ _POS_FLOAT = _checked(float, lambda v: 0.0 < v < np.inf,
                      "a finite number > 0")
 
 
-def _add_common(p):
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="gradient scaling factor (default 1e-4)")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="penalty growth rate (default 1e-6)")
-    p.add_argument("--q", type=int, default=None,
-                   help="series truncation order")
-    p.add_argument("--m", type=int, default=None,
-                   help="penalty exponent (default 2)")
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--rtol", type=float, default=None,
-                   help="BDF relative tolerance (default 1e-3)")
-    p.add_argument("--atol", type=float, default=None,
-                   help="BDF absolute tolerance (default 1e-9)")
-    p.add_argument("--eps-psi", type=float, default=None)
-    p.add_argument("--eps-g", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--rho-max", type=float, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--seed", type=_NONNEG_INT, default=0)
-    p.add_argument("--trace", default=None,
-                   help="trajectory CSV path (bench: directory)")
-    p.add_argument("--report", default=None, help="report CSV path")
+# a field named after a Python keyword keeps the keyword as its flag
+_FLAG_NAMES = {"lam": "lambda"}
+
+
+def _add_config(p, *bases):
+    """One flag per field of each configuration dataclass instance in
+    ``bases``, typed like the field's value and None unless given."""
+    for base in bases:
+        for f in dataclasses.fields(base):
+            value = getattr(base, f.name)
+            flag = _FLAG_NAMES.get(f.name, f.name).replace("_", "-")
+            p.add_argument(f"--{flag}", dest=f.name, type=type(value),
+                           default=None, help=f"default {value}")
+    p.set_defaults(bases=bases)
 
 
 class _BadFlag(Exception):
     """A flag value that a configuration dataclass rejects."""
 
 
-def _override(base, args):
-    """``base`` with every field that has a non-None parsed flag of the
-    same name replaced by that flag's value. A value the dataclass
-    rejects raises _BadFlag, which ``main`` maps to the parse-error
-    code."""
-    given = {f.name: getattr(args, f.name)
-             for f in dataclasses.fields(base)
-             if getattr(args, f.name) is not None}
+def _configs(args):
+    """The subcommand's bases with the given flags applied. A value the
+    dataclass rejects raises _BadFlag, which ``main`` maps to the
+    parse-error code."""
     try:
-        return dataclasses.replace(base, **given)
+        return [dataclasses.replace(base, **{
+            f.name: getattr(args, f.name) for f in dataclasses.fields(base)
+            if getattr(args, f.name) is not None}) for base in args.bases]
     except ValueError as e:
         raise _BadFlag(str(e)) from None
 
@@ -96,12 +89,10 @@ def _emit(args, text):
 
 
 def cmd_solve_qp(args) -> int:
+    params, stop, config = _configs(args)
     data = fileio.load_qp(args.input)
-    params = _override(FlowParams(), args)
-    problem = qp_problem(data)
-    res = solve(problem, params, FlowState(x=np.zeros(data.n), rho=0.0),
-                _override(StopCriteria(), args),
-                _override(IntegratorConfig(), args))
+    res = solve(qp_problem(data), params,
+                FlowState(x=np.zeros(data.n), rho=0.0), stop, config)
     if args.trace:
         save_trajectory(res, args.trace)
     k = res.kkt
@@ -123,13 +114,9 @@ def cmd_bench(args) -> int:
         print(f"error: --nc {args.nc} exceeds the oracle bound "
               f"{ORACLE_NC_MAX}", file=sys.stderr)
         return EXIT_PARSE
-    params = _override(FlowParams(), args)
-    report = run_benchmark(args.count, args.n, args.nc, params,
-                           _override(StopCriteria(), args),
-                           _override(IntegratorConfig(), args),
+    report = run_benchmark(args.count, args.n, args.nc, *_configs(args),
                            seed=args.seed)
-    out = args.report or "bench.csv"
-    report.to_csv(out)
+    report.to_csv(args.report)
     if args.trace:
         os.makedirs(args.trace, exist_ok=True)
         for row in report.rows:
@@ -144,7 +131,7 @@ def cmd_bench(args) -> int:
             fileio.atomic_write_text(
                 os.path.join(args.trace, f"traj_seed{row.seed}.csv"),
                 "\n".join(lines) + "\n")
-    print(f"wrote {out}: {len(report.rows)} instances, "
+    print(f"wrote {args.report}: {len(report.rows)} instances, "
           f"{'all passed' if report.passed else 'FAILING'}")
     if not report.passed:
         print("failing seeds: "
@@ -155,6 +142,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_mpc(args) -> int:
+    params, stop, config = _configs(args)
     if args.input:
         sc = fileio.load_mpc_scenario(args.input)
         plant = Plant(A_d=sc["A_d"], B_d=sc["B_d"])
@@ -168,28 +156,25 @@ def cmd_mpc(args) -> int:
     else:
         plant, pqp, xi0 = double_integrator_demo()
         steps, u_max = 60, 0.5
-    if args.steps is not None:
-        steps = args.steps
-    params = _override(FlowParams(), args)
-    trace = simulate_closed_loop(plant, pqp, xi0, steps, params,
-                                 _override(DEMO_STOP, args),
-                                 _override(IntegratorConfig(), args))
+    steps = args.steps or steps
+    trace = simulate_closed_loop(plant, pqp, xi0, steps, params, stop,
+                                 config)
     if args.trace:
         trace.to_csv(args.trace)
     max_u = float(np.abs(trace.u).max(initial=0.0))
     bounds_ok = max_u <= u_max + 1e-6
-    print(f"steps={trace.u.shape[0]} final_|xi|="
-          f"{float(np.linalg.norm(plant.A_d @ trace.xi[-1] + plant.B_d @ trace.u[-1])):.6e} "
-          f"max|u|={max_u:.6f} all_converged={trace.all_converged} "
-          f"bounds_ok={bounds_ok}")
+    xi_end = plant.A_d @ trace.xi[-1] + plant.B_d @ trace.u[-1]
+    _emit(args, f"steps={trace.u.shape[0]} "
+                f"final_|xi|={float(np.linalg.norm(xi_end)):.6e} "
+                f"max|u|={max_u:.6f} all_converged={trace.all_converged} "
+                f"bounds_ok={bounds_ok}")
     return EXIT_OK if trace.all_converged and bounds_ok else EXIT_SOLVER
 
 
 def cmd_minlp(args) -> int:
+    params, stop, config = _configs(args)
     bp = fileio.load_binary_problem(args.input)
-    params = _override(FlowParams(q=BINARY_Q), args)
-    result = solve_binary(bp, params, _override(StopCriteria(), args),
-                          _override(IntegratorConfig(), args),
+    result = solve_binary(bp, params, stop, config,
                           max_minima=args.max_minima, mu_defl=args.mu_defl)
     oracle_f = None
     oracle_skipped = bp.n > ORACLE_N_MAX
@@ -197,8 +182,8 @@ def cmd_minlp(args) -> int:
         oracle = brute_force_oracle(bp)
         if oracle is not None:
             oracle_f = oracle[1]
-    out = args.report or "minlp.csv"
-    result.to_csv(out, oracle_f=oracle_f, oracle_skipped=oracle_skipped)
+    result.to_csv(args.report, oracle_f=oracle_f,
+                  oracle_skipped=oracle_skipped)
     found = result.best_x is not None
     if found:
         bits = "".join(str(int(b)) for b in result.best_x)
@@ -243,7 +228,9 @@ def build_parser():
     p = sub.add_parser("solve-qp", help="solve a QP file by flow "
                                         "integration")
     p.add_argument("input")
-    _add_common(p)
+    _add_config(p, FlowParams(), StopCriteria(), IntegratorConfig())
+    p.add_argument("--trace", help="trajectory CSV path")
+    p.add_argument("--report", help="report text path")
     p.set_defaults(fn=cmd_solve_qp)
 
     p = sub.add_parser("bench", help="flow-vs-oracle benchmark on seeded "
@@ -251,7 +238,12 @@ def build_parser():
     p.add_argument("--count", type=_POS_INT, default=50)
     p.add_argument("--n", type=_POS_INT, default=15)
     p.add_argument("--nc", type=_NONNEG_INT, default=20)
-    _add_common(p)
+    p.add_argument("--seed", type=_NONNEG_INT, default=0)
+    _add_config(p, FlowParams(), StopCriteria(), IntegratorConfig())
+    p.add_argument("--trace", help="directory for one trajectory CSV "
+                                   "per seed")
+    p.add_argument("--report", default="bench.csv",
+                   help="benchmark CSV path (default bench.csv)")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("mpc", help="closed-loop MPC simulation")
@@ -259,14 +251,19 @@ def build_parser():
                    help="scenario file (default: built-in double "
                         "integrator)")
     p.add_argument("--steps", type=_POS_INT, default=None)
-    _add_common(p)
+    _add_config(p, FlowParams(), DEMO_STOP, IntegratorConfig())
+    p.add_argument("--trace", help="closed-loop CSV path")
+    p.add_argument("--report", help="summary text path")
     p.set_defaults(fn=cmd_mpc)
 
     p = sub.add_parser("minlp", help="binary solve by deflation")
     p.add_argument("input")
     p.add_argument("--mu-defl", type=_POS_FLOAT, default=40.0)
     p.add_argument("--max-minima", type=_POS_INT, default=None)
-    _add_common(p)
+    _add_config(p, FlowParams(q=BINARY_Q), StopCriteria(),
+                IntegratorConfig())
+    p.add_argument("--report", default="minlp.csv",
+                   help="visited-vertex CSV path (default minlp.csv)")
     p.set_defaults(fn=cmd_minlp)
 
     p = sub.add_parser("check-grads", help="finite-difference gradient "
@@ -278,7 +275,7 @@ def build_parser():
     p.add_argument("--points", type=_POS_INT, default=10)
     p.add_argument("--step", type=_POS_FLOAT, default=1e-6)
     p.add_argument("--tol", type=_POS_FLOAT, default=1e-5)
-    _add_common(p)
+    p.add_argument("--seed", type=_NONNEG_INT, default=0)
     p.set_defaults(fn=cmd_check_grads)
     return ap
 

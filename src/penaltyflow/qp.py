@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import EnumerationBoundError, OracleError
+from .errors import EnumerationBoundError, OracleError, PenaltyFlowError
 from .fileio import atomic_write_text, fmt
 from .flow import FlowParams, FlowState
 from .integrator import IntegratorConfig, SolveResult, StopCriteria, solve
@@ -292,7 +292,6 @@ class BenchRow:
     stationarity: float
     steps: int
     millis: float
-    x_flow: Optional[np.ndarray] = None
     x_oracle: Optional[np.ndarray] = None
     result: Optional[SolveResult] = None
 
@@ -332,9 +331,10 @@ def run_benchmark(count: int, n: int, n_c: int, params: FlowParams,
     """Flow-vs-oracle sweep over ``count`` seeded instances.
 
     Instance i uses seed ``seed + i``. Every instance is solved by the
-    flow from (0, 0) and by the active-set reference; per-instance
-    failures are recorded in their row and never abort the batch. Rows
-    are ordered by seed.
+    flow from (0, 0) and by the active-set reference. A package error
+    (``PenaltyFlowError``) in one instance is recorded in its row and
+    does not abort the batch; any other exception propagates. Rows are
+    ordered by seed.
     """
     rows = []
     for i in range(count):
@@ -359,10 +359,9 @@ def run_benchmark(count: int, n: int, n_c: int, params: FlowParams,
             if res.kkt is not None:
                 row.stationarity = res.kkt.stationarity
             row.steps = res.accepted_steps
-            row.x_flow = res.x
             row.x_oracle = oracle.x_star
             row.result = res
-        except Exception as e:  # record, keep going
+        except PenaltyFlowError as e:  # record, keep going
             row.status = f"error:{type(e).__name__}"
         row.millis = 1e3 * (time.perf_counter() - t0)
         rows.append(row)

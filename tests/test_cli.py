@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, and trace files."""
 
+import argparse
 import dataclasses
 import json
 
@@ -8,6 +9,7 @@ import pytest
 
 import penaltyflow as pf
 from penaltyflow import cli
+from penaltyflow.binary import BINARY_Q
 from penaltyflow.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
 from penaltyflow.errors import EvaluationError
 
@@ -138,6 +140,14 @@ class TestMpc:
         lines = trace.read_text().splitlines()
         assert lines[0] == "k,xi0,xi1,u0,status,psi_final,g_final,steps"
         assert len(lines) == 5
+
+    def test_report_holds_summary(self, tmp_path, capsys):
+        report = tmp_path / "r.txt"
+        rc = main(["mpc", "--steps", "2", "--report", str(report)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert out.startswith("steps=2")
+        assert report.read_text() == out
 
 
 class TestMinlp:
@@ -274,6 +284,59 @@ class TestParser:
         assert main(argv) == EXIT_PARSE
         assert f"argument {flag}: must be" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+
+_CONFIG_FLAGS = {"--lambda", "--gamma", "--q", "--mode", "--m", "--rtol",
+                 "--atol", "--eps-psi", "--eps-g", "--t-max", "--rho-max",
+                 "--max-steps"}
+
+
+class TestFlagReaders:
+    def test_registered_flags(self):
+        # each subcommand registers exactly the flags it reads
+        expected = {
+            "solve-qp": _CONFIG_FLAGS | {"--trace", "--report"},
+            "bench": _CONFIG_FLAGS | {"--count", "--n", "--nc", "--seed",
+                                      "--trace", "--report"},
+            "mpc": _CONFIG_FLAGS | {"--steps", "--trace", "--report"},
+            "minlp": _CONFIG_FLAGS | {"--mu-defl", "--max-minima",
+                                      "--report"},
+            "check-grads": {"--kind", "--n", "--nc", "--points", "--step",
+                            "--tol", "--seed"},
+        }
+        sub, = (a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        registered = {
+            name: {s for a in p._actions for s in a.option_strings
+                   if s != "--help" and s.startswith("--")}
+            for name, p in sub.choices.items()}
+        assert registered == expected
+
+    def test_defaults_stated_per_subcommand(self):
+        ap = cli.build_parser()
+        params, stop, config = cli._configs(ap.parse_args(["minlp", "k"]))
+        assert (params, stop, config) == (pf.FlowParams(q=BINARY_Q),
+                                          pf.StopCriteria(),
+                                          pf.IntegratorConfig())
+        params, stop, config = cli._configs(ap.parse_args(
+            ["mpc", "--lambda", "0.5", "--eps-g", "0.01", "--rtol", "0.1"]))
+        assert params == pf.FlowParams(lam=0.5)
+        assert stop == dataclasses.replace(pf.DEMO_STOP, eps_g=0.01)
+        assert config == pf.IntegratorConfig(rtol=0.1)
+
+    @pytest.mark.parametrize("argv", [
+        ["check-grads", "--m", "0"], ["check-grads", "--rtol", "0"],
+        ["minlp", "knap.json", "--trace", "t.csv"],
+        ["mpc", "--steps", "1", "--seed", "1"],
+        ["solve-qp", "qp.json", "--seed", "1"],
+    ])
+    def test_unread_flag_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # a flag the subcommand would ignore is refused before any work
+        monkeypatch.chdir(tmp_path)
+        inputs = {_knapsack_file(tmp_path), _descent_qp(tmp_path)}
+        assert main(argv) == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert {str(f) for f in tmp_path.iterdir()} == inputs
 
 
 def _mpc_doc(**fields):

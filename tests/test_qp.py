@@ -227,7 +227,7 @@ class TestRunBenchmark:
         assert rep.passed
         for row in rep.rows:
             assert abs(row.ratio - 1.0) <= 1e-6
-            assert np.linalg.norm(row.x_flow - row.x_oracle) <= 1e-3
+            assert np.linalg.norm(row.result.x - row.x_oracle) <= 1e-3
 
     def test_unevaluable_start_recorded(self, monkeypatch):
         # the solver's own failure status, not an error row
@@ -243,6 +243,18 @@ class TestRunBenchmark:
         assert row.status == "rhs_failure"
         assert math.isnan(row.stationarity)
         assert rep.failing_seeds == [0]
+
+    def test_program_error_propagates(self, monkeypatch):
+        # only package errors become rows; a bug is not a failing seed
+        def buggy_problem(data):
+            def f_x(x):
+                raise TypeError("bug")
+            return dataclasses.replace(pf.qp_problem(data), f_x=f_x)
+
+        monkeypatch.setattr(qp, "qp_problem", buggy_problem)
+        with pytest.raises(TypeError, match="bug"):
+            pf.run_benchmark(1, 2, 1, pf.FlowParams(), pf.StopCriteria(),
+                             pf.IntegratorConfig(), seed=0)
 
     def test_per_instance_error_capture(self):
         rep = pf.run_benchmark(1, 2, 26, pf.FlowParams(),
