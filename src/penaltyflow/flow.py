@@ -7,8 +7,12 @@ Both flows share the structure
     dx/dt   = -factor(g) * fbar_x(x, rho)
     drho/dt = gamma * psi(x)
 
-and differ only in the scalar factor applied to the gradient. The
-paper's sufficient descent condition bounds gamma by
+and differ only in the scalar factor applied to the gradient. They are
+one ODE in the packed state y = [x_0 .. x_{n-1}, rho], the vector the
+stepper integrates: ``flow_rhs(problem, y, params)`` returns
+dy/dt = [dx, drho], ``flow_jacobian(problem, y, params)`` its
+(n+1, n+1) Jacobian, and ``fbar_dot_identity(problem, y, params)`` takes
+the same y. The paper's sufficient descent condition bounds gamma by
 
     gamma_max = [ min_{i=1..n_psi} (lam*k_c)^i / (2 alpha_i lam (i-1)!) ]^2
 
@@ -17,14 +21,15 @@ problem data determines; the solver neither computes nor enforces it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, FactorOverflowError
 from .problem import (PenaltyConfig, _central_diff, _finite,
-                      _lagrangian_grad, _norm, _penalty, _weighted_grad,
-                      evaluate, penalty_weights)
+                      _lagrangian_grad, _norm, _terms, evaluate,
+                      penalty_weights)
 
 __all__ = [
     "FlowParams", "FlowState", "series_factor", "exp_factor", "flow_rhs",
@@ -64,12 +69,12 @@ class FlowParams:
             raise ValueError("lam must be finite and > 0")
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be finite and > 0")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
+        if not (isinstance(self.q, numbers.Integral) and self.q >= 1):
+            raise ValueError("q must be an integer >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
+            raise ValueError("m must be an integer >= 1")
 
     @property
     def cfg(self) -> PenaltyConfig:
@@ -78,7 +83,7 @@ class FlowParams:
 
 @dataclass
 class FlowState:
-    """Integrated pair (x, rho) at elapsed flow time t.
+    """``solve``'s start state (x, rho); the flow starts at t = 0.
 
     rho is non-decreasing along any exact trajectory since
     drho/dt = gamma * psi >= 0.
@@ -86,7 +91,6 @@ class FlowState:
 
     x: np.ndarray
     rho: float = 0.0
-    t: float = 0.0
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -134,23 +138,24 @@ def _factor_slope(g, params: FlowParams) -> float:
     return params.lam * series_factor(g, params.lam, params.q - 1)
 
 
-def flow_rhs(problem, state: FlowState, params: FlowParams):
-    """Evaluate the flow right-hand side at ``state``.
+def flow_rhs(problem, y, params: FlowParams):
+    """The flow right-hand side dy/dt = [dx, drho] at the packed state y.
 
-    Returns (dx, drho) with dx = -factor * fbar_x and drho = gamma * psi.
-    dx is antiparallel to fbar_x whenever the gradient is nonzero (the
-    factor is always positive), and drho >= 0 always. Each of f_x, c and
-    c_x is evaluated once.
+    dx = -factor * fbar_x and drho = gamma * psi. dx is antiparallel to
+    fbar_x whenever the gradient is nonzero (the factor is always
+    positive), and drho >= 0 always. Each of f_x, c and c_x is evaluated
+    once, and a factor that overflows raises FactorOverflowError.
     """
-    grad, cvals, jac = evaluate(problem, state.x)
-    fbar_x = _weighted_grad(grad, cvals, jac, state.rho, params.m)
-    factor = _factor(_norm(fbar_x), params)
-    return -factor * fbar_x, params.gamma * _penalty(cvals, params.m)
+    fbar_x, g, psi, _ = _terms(problem, y[:-1], float(y[-1]), params.m)
+    dy = np.empty(y.size)
+    dy[:-1] = -_factor(g, params) * fbar_x
+    dy[-1] = params.gamma * psi
+    return dy
 
 
-def flow_jacobian(problem, state: FlowState, params: FlowParams):
-    """Jacobian of the packed flow y = [x, rho] -> [dx, drho], the one
-    the stepper uses.
+def flow_jacobian(problem, y, params: FlowParams):
+    """Jacobian of the flow y -> [dx, drho] at the packed state y, the
+    one the stepper uses.
 
     With G = fbar_x, A = c_x, w the penalty weights,
     v = m A' max(0, c)^(m-1) = dG/drho and the x-Hessian of the weighted
@@ -170,16 +175,16 @@ def flow_jacobian(problem, state: FlowState, params: FlowParams):
     hook; without one it is the symmetrized central difference of the
     Lagrangian gradient f_x + w'c_x. Returns an (n+1, n+1) array.
     """
-    m, rho, n = params.m, state.rho, problem.n
-    grad, cvals, jac = evaluate(problem, state.x)
+    m, n, x, rho = params.m, problem.n, y[:-1], float(y[-1])
+    grad, cvals, jac = evaluate(problem, x)
     w = penalty_weights(cvals, rho, m)
     G = grad + w @ jac
     if problem.hess is None:
-        step = _HESS_STEP * max(1.0, float(np.max(np.abs(state.x))))
-        K = _central_diff(_lagrangian_grad(problem, w), state.x, step)
+        step = _HESS_STEP * max(1.0, float(np.max(np.abs(x))))
+        K = _central_diff(_lagrangian_grad(problem, w), x, step)
         K = 0.5 * (K + K.T)
     else:
-        K = np.asarray(problem.hess(state.x, w), dtype=float)
+        K = np.asarray(problem.hess(x, w), dtype=float)
     if not _finite(K):
         raise EvaluationError(None, "Hessian")
     if m > 1:
@@ -200,25 +205,23 @@ def flow_jacobian(problem, state: FlowState, params: FlowParams):
     return J
 
 
-def fbar_dot_identity(problem, state: FlowState, params: FlowParams):
-    """Time derivative of the weighted cost along the flow, two ways.
+def fbar_dot_identity(problem, y, params: FlowParams):
+    """Time derivative of the weighted cost along the flow at the packed
+    state y, two ways.
 
     Returns (analytic, assembled) where
 
         analytic  = gamma * psi^2 - factor * g^2
         assembled = <fbar_x, dx> + psi * drho
 
-    with fbar_x and psi from one evaluation at ``state`` and dx, drho
-    from flow_rhs. The closed form follows from the chain rule: the
-    factor enters linearly through dx, so the two values agree to
-    roundoff at any state.
+    with fbar_x and psi from one evaluation at y and [dx, drho] from
+    flow_rhs. The closed form follows from the chain rule: the factor
+    enters linearly through dx, so the two values agree to roundoff at
+    any state.
     """
-    grad, cvals, jac = evaluate(problem, state.x)
-    fbar_x = _weighted_grad(grad, cvals, jac, state.rho, params.m)
-    g = _norm(fbar_x)
-    psi = _penalty(cvals, params.m)
+    fbar_x, g, psi, _ = _terms(problem, y[:-1], float(y[-1]), params.m)
     analytic = params.gamma * psi ** 2 - _factor(g, params) * g ** 2
 
-    dx, drho = flow_rhs(problem, state, params)
-    assembled = float(fbar_x @ dx) + psi * drho
+    dy = flow_rhs(problem, y, params)
+    assembled = float(fbar_x @ dy[:-1]) + psi * float(dy[-1])
     return analytic, assembled

@@ -22,10 +22,13 @@ that certificate. The default relative tolerance is therefore loose
 (1e-3); most accepted steps lie in the tail, where the violated set no
 longer changes and tighter tracking buys nothing the stop test checks.
 
-The integrand state is packed as y = [x_0 .. x_{n-1}, rho].
+``solve`` steps the packed state y = [x, rho] of ``flow`` through two
+closures that look ``flow_rhs(problem, y, params)`` and
+``flow_jacobian(problem, y, params)`` up in this module at call time.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -82,8 +85,9 @@ class StopCriteria:
         if not all(v > 0.0 for v in (self.eps_psi, self.eps_g, self.t_max,
                                      self.rho_max)):
             raise ValueError("all stop thresholds must be > 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if not (isinstance(self.max_steps, numbers.Integral)
+                and self.max_steps >= 1):
+            raise ValueError("max_steps must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,25 +160,10 @@ def save_trajectory(result: SolveResult, path) -> None:
 # integration loop
 # ----------------------------------------------------------------------
 
-def _packed_flow(problem, params):
-    """The flow right-hand side and its Jacobian as functions (t, y) of
-    the packed state y = [x, rho], the form the stepper calls."""
-    def rhs(t, y):
-        dx, drho = flow_rhs(problem, FlowState(x=y[:-1], rho=float(y[-1]),
-                                               t=t), params)
-        return np.concatenate([dx, [drho]])
-
-    def jac(t, y):
-        return flow_jacobian(problem, FlowState(x=y[:-1], rho=float(y[-1]),
-                                                t=t), params)
-
-    return rhs, jac
-
-
 def solve(problem: Problem, params: FlowParams, state0: FlowState,
           stop: StopCriteria, config: IntegratorConfig) -> SolveResult:
-    """Integrate the flow from ``state0`` until a stop criterion fires,
-    and read the multipliers and KKT residuals off the final state.
+    """Integrate the flow from ``state0`` at t = 0 until a stop criterion
+    fires, and read the multipliers and KKT residuals off the final state.
 
     The stop criteria are checked at the start state and after every
     accepted step, so a start that meets one ends there without a step;
@@ -182,8 +171,7 @@ def solve(problem: Problem, params: FlowParams, state0: FlowState,
     initial and final states. Evaluator and overflow failures surface as
     status "rhs_failure" with the detail in ``warnings``, and the result
     keeps the last state that was measured; any other exception raised
-    by an evaluator propagates. The flow runs forward in time only: a
-    start past ``stop.t_max`` is refused with ValueError.
+    by an evaluator propagates.
 
     mu and kkt come from the evaluation that measured the final state.
     When not even the start state could be evaluated there is no final
@@ -193,18 +181,18 @@ def solve(problem: Problem, params: FlowParams, state0: FlowState,
     if not 0.0 <= state0.rho < math.inf:
         raise ValueError(f"initial rho must be finite and >= 0, "
                          f"got {state0.rho}")
-    if not math.isfinite(state0.t):
-        raise ValueError(f"initial t must be finite, got {state0.t}")
-    if state0.t > stop.t_max:
-        raise ValueError(f"initial t = {state0.t} is past t_max = "
-                         f"{stop.t_max}")
     x0 = np.asarray(state0.x, dtype=float)
     if x0.shape != (problem.n,):
         raise ValueError(f"initial x has shape {x0.shape}, "
                          f"expected ({problem.n},)")
     y = np.concatenate([x0, [float(state0.rho)]])
-    t = float(state0.t)
-    rhs, jac = _packed_flow(problem, params)
+    t = 0.0
+
+    def rhs(t, y):
+        return flow_rhs(problem, y, params)
+
+    def jac(t, y):
+        return flow_jacobian(problem, y, params)
 
     def measure(t, y):
         """The trajectory row [t, rho, psi, g, f, fbar, *x] of (t, y) and

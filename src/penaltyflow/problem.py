@@ -1,8 +1,9 @@
 """Differentiable inequality-constrained problems and the exact-penalty
-machinery built on them: ``evaluate``, the one checked call of a
-problem's f_x, c and c_x; the penalty weights; and ``measure_state``,
-which reads the penalty psi, the gradient norm g, the objective f and
-the constraint values of a state off one evaluation.
+machinery built on them: ``evaluate(problem, x)``, the one checked call
+of a problem's f_x, c and c_x; the penalty weights; and
+``measure_state(problem, x, rho, params)``, which reads the penalty psi,
+the gradient norm g, the objective f and the constraint values of a
+state off one pass, ``_terms``, that the flow's right-hand side shares.
 
 Constraint convention throughout the package: every constraint is stored
 as c_i(x) <= 0. Builders that accept other forms (Ax <= B, bounds) must
@@ -114,10 +115,6 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _weighted_grad(grad, cvals, jac, rho, m):
-    return grad + penalty_weights(cvals, rho, m) @ jac
-
-
 def evaluate(problem: Problem, x):
     """(f_x, c, c_x) at x: one call of each evaluator, all finite.
 
@@ -147,6 +144,16 @@ def evaluate(problem: Problem, x):
     return grad, cvals, jac
 
 
+def _terms(problem: Problem, x, rho: float, m: int):
+    """(fbar_x, g, psi, c) at (x, rho) from one ``evaluate``: the
+    weighted-cost gradient f_x + w'c_x with the penalty weights w of
+    exponent m, its norm, the penalty and the constraint values. An
+    overflowing g reads inf; each caller reports it in its own terms."""
+    grad, cvals, jac = evaluate(problem, x)
+    fbar_x = grad + penalty_weights(cvals, rho, m) @ jac
+    return fbar_x, _norm(fbar_x), _penalty(cvals, m), cvals
+
+
 def measure_state(problem: Problem, x, rho: float, params):
     """(psi, g, f, c) at (x, rho) from one evaluation of f, f_x, c and
     c_x, with m the penalty exponent of the FlowParams ``params``: the
@@ -159,16 +166,14 @@ def measure_state(problem: Problem, x, rho: float, params):
     multipliers and KKT residuals of a final state are read. The
     weighted cost itself is f + rho * psi. A non-finite f raises
     EvaluationError(None), and so does a g that overflows."""
-    grad, cvals, jac = evaluate(problem, x)
+    with np.errstate(over="ignore"):
+        _, g, psi, cvals = _terms(problem, x, rho, params.m)
     f = float(problem.f(x))
     if not math.isfinite(f):
         raise EvaluationError(None)
-    fbar_x = _weighted_grad(grad, cvals, jac, rho, params.m)
-    with np.errstate(over="ignore"):
-        g = _norm(fbar_x)
     if not math.isfinite(g):
         raise EvaluationError(None, "gradient norm")
-    return _penalty(cvals, params.m), g, f, cvals
+    return psi, g, f, cvals
 
 
 @dataclass(frozen=True)

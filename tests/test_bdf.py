@@ -10,7 +10,6 @@ from scipy.linalg import LinAlgWarning
 import penaltyflow as pf
 from penaltyflow.bdf import BDF
 from penaltyflow.binary import BINARY_Q
-from penaltyflow.integrator import _packed_flow
 
 
 def _seeded_binary():
@@ -18,6 +17,12 @@ def _seeded_binary():
     rng = np.random.default_rng(7)
     H = rng.standard_normal((6, 6))
     return pf.binary_quadratic(0.5 * (H + H.T), rng.standard_normal(6))
+
+
+def _packed_flow(problem, params):
+    # the closures ``solve`` hands the stepper
+    return (lambda t, y: pf.flow_rhs(problem, y, params),
+            lambda t, y: pf.flow_jacobian(problem, y, params))
 
 
 def _wall(t, y):

@@ -73,16 +73,13 @@ class TestFlowRhs:
         for params in (FlowParams(gamma=gamma),
                        FlowParams(gamma=gamma, mode="exponential"),
                        FlowParams(gamma=gamma, q=1)):
-            dx, drho = flow_rhs(halfspace_problem,
-                                FlowState(x=np.zeros(2)), params)
-            np.testing.assert_array_equal(dx, [0.0, 0.0])
-            np.testing.assert_allclose(drho, gamma, rtol=1e-15)
+            dy = flow_rhs(halfspace_problem, np.zeros(3), params)
+            np.testing.assert_array_equal(dy[:-1], [0.0, 0.0])
+            np.testing.assert_allclose(dy[-1], gamma, rtol=1e-15)
 
     def test_unconstrained_plain_is_gradient_descent(self):
-        dx, drho = flow_rhs(_quad(2), FlowState(x=np.array([3.0, 4.0])),
-                            FlowParams(q=1))
-        np.testing.assert_array_equal(dx, [-3.0, -4.0])
-        assert drho == 0.0
+        dy = flow_rhs(_quad(2), np.array([3.0, 4.0, 0.0]), FlowParams(q=1))
+        np.testing.assert_array_equal(dy, [-3.0, -4.0, 0.0])
 
     def test_q2_matches_hand_assembly(self):
         """dx = -(1 + lam*||fbar_x||) * fbar_x on a seeded instance."""
@@ -96,10 +93,10 @@ class TestFlowRhs:
             cp = np.maximum(data.A @ x - data.B, 0.0)
             fbar_x = data.H @ x + data.F + 2.0 * rho * (cp @ data.A)
             expected = -(1.0 + lam * np.linalg.norm(fbar_x)) * fbar_x
-            dx, drho = flow_rhs(prob, FlowState(x=x, rho=rho),
-                                FlowParams(lam=lam, q=2))
-            np.testing.assert_allclose(dx, expected, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(drho, 1e-6 * float(np.sum(cp ** 2)),
+            dy = flow_rhs(prob, np.append(x, rho), FlowParams(lam=lam, q=2))
+            np.testing.assert_allclose(dy[:-1], expected, rtol=1e-12,
+                                       atol=1e-14)
+            np.testing.assert_allclose(dy[-1], 1e-6 * float(np.sum(cp ** 2)),
                                        rtol=1e-12)
 
     def test_dx_antiparallel_to_gradient(self, halfspace_problem):
@@ -109,13 +106,12 @@ class TestFlowRhs:
             for _ in range(10):
                 x = rng.uniform(-2.0, 2.0, size=2)
                 rho = float(rng.uniform(0.0, 4.0))
-                state = FlowState(x=x, rho=rho)
+                y = np.append(x, rho)
                 # with q = 1 the factor is 1, so dx = -fbar_x exactly
-                fbar_x = -flow_rhs(halfspace_problem, state,
-                                   FlowParams(q=1))[0]
+                fbar_x = -flow_rhs(halfspace_problem, y, FlowParams(q=1))[:-1]
                 if np.linalg.norm(fbar_x) == 0.0:
                     continue
-                dx, _ = flow_rhs(halfspace_problem, state, params)
+                dx = flow_rhs(halfspace_problem, y, params)[:-1]
                 cos = float(dx @ fbar_x) / (np.linalg.norm(dx)
                                             * np.linalg.norm(fbar_x))
                 np.testing.assert_allclose(cos, -1.0, rtol=1e-12)
@@ -124,14 +120,13 @@ class TestFlowRhs:
 class TestFbarDotIdentity:
     def test_unconstrained_plain(self):
         analytic, assembled = fbar_dot_identity(
-            _quad(2), FlowState(x=np.array([3.0, 4.0])),
-            FlowParams(q=1))
+            _quad(2), np.array([3.0, 4.0, 0.0]), FlowParams(q=1))
         np.testing.assert_allclose(analytic, -25.0, rtol=1e-15)
         np.testing.assert_allclose(assembled, -25.0, rtol=1e-15)
 
     def test_stationary_feasible_point(self):
         analytic, assembled = fbar_dot_identity(
-            _quad(3), FlowState(x=np.zeros(3)), FlowParams())
+            _quad(3), np.zeros(4), FlowParams())
         assert analytic == 0.0
         assert assembled == 0.0
 
@@ -144,10 +139,9 @@ class TestFbarDotIdentity:
                            FlowParams(mode="exponential", q=3),
                            FlowParams(q=1)):
                 for _ in range(20):
-                    state = FlowState(x=rng.standard_normal(4),
-                                      rho=float(rng.uniform(0.0, 10.0)))
-                    analytic, assembled = fbar_dot_identity(prob, state,
-                                                            params)
+                    y = np.append(rng.standard_normal(4),
+                                  rng.uniform(0.0, 10.0))
+                    analytic, assembled = fbar_dot_identity(prob, y, params)
                     scale = max(abs(analytic), abs(assembled), 1e-30)
                     assert abs(analytic - assembled) / scale <= 1e-10
 
@@ -164,11 +158,18 @@ class TestParamValidation:
             FlowParams(mode="adaptive")
         with pytest.raises(ValueError):
             FlowParams(m=0)
+        # a fractional exponent or order is refused by name, not left to
+        # fail inside the flow
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            FlowParams(m=1.5)
+        with pytest.raises(ValueError, match="^q must be an integer"):
+            FlowParams(q=2.0)
+        assert FlowParams(q=np.int64(3), m=np.int64(2)).q == 3
 
     def test_flow_state_casts_to_float_array(self):
         state = FlowState(x=[1, 2, 3])
         assert state.x.dtype == np.float64
-        assert state.rho == 0.0 and state.t == 0.0
+        assert state.rho == 0.0
 
     def test_cfg_carries_penalty_exponent(self):
         assert FlowParams(m=3).cfg.m == 3

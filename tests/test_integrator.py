@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import penaltyflow as pf
+from penaltyflow import integrator
 from penaltyflow.errors import EvaluationError
 from penaltyflow.integrator import trajectory_header
 from penaltyflow.problem import Problem
@@ -168,36 +169,19 @@ class TestIntegrate:
                      pf.FlowState(x=np.zeros(2), rho=-1.0),
                      pf.StopCriteria(), pf.IntegratorConfig())
 
-    @pytest.mark.parametrize("x, rho, t, field", [
-        (np.zeros(2), math.nan, 0.0, "rho"),
-        (np.zeros(2), math.inf, 0.0, "rho"),
-        (np.zeros(3), 0.0, 0.0, "x"),
-        (np.zeros(1), 0.0, 0.0, "x"),
-        (np.zeros((2, 1)), 0.0, 0.0, "x"),
-        (np.zeros(2), 0.0, math.nan, "t"),
-        (np.zeros(2), 0.0, math.inf, "t"),
-    ], ids=["rho-nan", "rho-inf", "x-long", "x-short", "x-column", "t-nan",
-            "t-inf"])
-    def test_bad_initial_state_rejected(self, halfspace_problem, x, rho, t,
+    @pytest.mark.parametrize("x, rho, field", [
+        (np.zeros(2), math.nan, "rho"),
+        (np.zeros(2), math.inf, "rho"),
+        (np.zeros(3), 0.0, "x"),
+        (np.zeros(1), 0.0, "x"),
+        (np.zeros((2, 1)), 0.0, "x"),
+    ], ids=["rho-nan", "rho-inf", "x-long", "x-short", "x-column"])
+    def test_bad_initial_state_rejected(self, halfspace_problem, x, rho,
                                         field):
         with pytest.raises(ValueError, match=f"initial {field}"):
             pf.solve(halfspace_problem, pf.FlowParams(),
-                     pf.FlowState(x=x, rho=rho, t=t),
+                     pf.FlowState(x=x, rho=rho),
                      pf.StopCriteria(), pf.IntegratorConfig())
-
-    def test_start_past_horizon_rejected(self, halfspace_problem):
-        # stepping would run the flow backward in time
-        with pytest.raises(ValueError, match="initial t"):
-            pf.solve(halfspace_problem, pf.FlowParams(),
-                     pf.FlowState(x=np.zeros(2), t=10.0),
-                     pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
-
-    def test_start_at_horizon(self, halfspace_problem):
-        res = pf.solve(halfspace_problem, pf.FlowParams(),
-                       pf.FlowState(x=np.zeros(2), t=1.0),
-                       pf.StopCriteria(t_max=1.0), pf.IntegratorConfig())
-        assert res.status == "t_max_reached"
-        assert res.accepted_steps == 0 and res.t == 1.0
 
     def test_start_past_rho_ceiling(self, halfspace_problem):
         # the stop criteria are checked at the start state as well
@@ -353,6 +337,37 @@ class TestSolveAndDeterminism:
         for name, xs in seen.items():
             assert sum(np.array_equal(x, res.x) for x in xs) == 1, name
 
+    def test_each_state_evaluated_once_per_call(self, monkeypatch):
+        # criterion-1 seed 17 restarts its stepper twice. f is read only
+        # by the measurement of the start state and of each accepted
+        # step; f_x, c and c_x once per RHS call, per Jacobian (the QP
+        # has a Hessian hook) and per measurement (495 and 2,194 calls)
+        data, _ = pf.generate_random_qp(15, 20, seed=17)
+        problem = pf.qp_problem(data)
+        calls = dict.fromkeys(("f", "f_x", "c", "c_x", "flow_rhs",
+                               "flow_jacobian"), 0)
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in ("flow_rhs", "flow_jacobian"):
+            monkeypatch.setattr(integrator, name,
+                                counted(name, getattr(integrator, name)))
+        res = pf.solve(dataclasses.replace(problem, **{
+                           name: counted(name, getattr(problem, name))
+                           for name in ("f", "f_x", "c", "c_x")}),
+                       pf.FlowParams(), pf.FlowState(x=np.zeros(15)),
+                       pf.StopCriteria(), pf.IntegratorConfig())
+        assert res.status == "converged" and res.restarts == 2
+        measured = res.accepted_steps + 1
+        assert calls["f"] == measured
+        per_state = calls["flow_rhs"] + calls["flow_jacobian"] + measured
+        for name in ("f_x", "c", "c_x"):
+            assert calls[name] == per_state, name
+
     def test_converged_solve_has_no_warnings(self):
         # warnings carry failure detail only; a clean solve has none
         data, _ = pf.generate_random_qp(15, 20, seed=0)
@@ -374,3 +389,6 @@ class TestConfigValidation:
             pf.StopCriteria(eps_psi=0.0)
         with pytest.raises(ValueError):
             pf.StopCriteria(max_steps=0)
+        # a fractional budget is refused, not rounded up by the loop
+        with pytest.raises(ValueError, match="^max_steps must be an integer"):
+            pf.StopCriteria(max_steps=2.5)

@@ -3,13 +3,14 @@ the solver computes them, and the finite-difference gradient checker.
 
 psi, g and f come from ``measure_state``, the weighted cost is
 f + rho * psi, and the gradient fbar_x is read off ``flow_rhs`` with
-q = 1, where dx = -fbar_x exactly. The class names keep the quantity
-each class tests."""
+q = 1: it returns [dx, drho] for the packed state [x, rho], and
+dx = -fbar_x exactly. The class names keep the quantity each class
+tests."""
 
 import numpy as np
 import pytest
 
-from penaltyflow import (EvaluationError, FlowParams, FlowState, Problem,
+from penaltyflow import (EvaluationError, FlowParams, Problem,
                          check_gradients, flow_rhs, generate_random_qp,
                          qp_problem)
 from penaltyflow.problem import measure_state, penalty_weights
@@ -52,8 +53,7 @@ def _fbar(prob, x, rho):
 
 def _fbar_x(prob, x, rho):
     # the series factor of order 1 is the constant 1
-    dx, _ = flow_rhs(prob, FlowState(x=x, rho=rho), FlowParams(q=1, m=2))
-    return -dx
+    return -flow_rhs(prob, np.append(x, rho), FlowParams(q=1, m=2))[:-1]
 
 
 class TestEvalPenalty:
