@@ -14,13 +14,13 @@ included.
 from .errors import (EnumerationBoundError, EvaluationError,
                      FactorOverflowError, FileFormatError, OracleError,
                      PenaltyFlowError)
-from .problem import (GradCheckReport, PenaltyConfig, Problem,
-                      check_gradients, evaluate, measure_state)
+from .problem import (GradCheckReport, KktReport, PenaltyConfig, Problem,
+                      check_gradients, evaluate, kkt_residuals,
+                      measure_state)
 from .flow import (FlowParams, FlowState, exp_factor, fbar_dot_identity,
                    flow_jacobian, flow_rhs, series_factor)
 from .integrator import (IntegratorConfig, SolveResult, StopCriteria,
                          save_trajectory, solve)
-from .kkt import KktReport, extract_multipliers, kkt_residuals
 from .qp import (BenchReport, BenchRow, OracleSolution, QpData,
                  active_set_oracle, generate_random_qp, qp_problem,
                  run_benchmark)

@@ -18,6 +18,7 @@ base objective: a (k, n) array of centres and a (k,) array of amplitudes.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
 from typing import Optional
@@ -268,8 +269,8 @@ def solve_binary(bp: Problem, params: Optional[FlowParams] = None,
         params = FlowParams(q=BINARY_Q)
     if max_minima is None:
         max_minima = min(2 ** bp.n, 64)
-    if max_minima < 1:
-        raise ValueError("max_minima must be >= 1")
+    if not (isinstance(max_minima, numbers.Integral) and max_minima >= 1):
+        raise ValueError("max_minima must be an integer >= 1")
 
     centres, amplitudes = np.zeros((0, bp.n)), np.zeros(0)
     cost = bumped_cost(bp, centres, amplitudes, mu_defl)

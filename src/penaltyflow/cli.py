@@ -198,9 +198,15 @@ def cmd_minlp(args) -> int:
 
 
 def cmd_check_grads(args) -> int:
+    if args.input and (args.n is not None or args.nc is not None):
+        print("error: --n and --nc size a generated QP, not an input file",
+              file=sys.stderr)
+        return EXIT_PARSE
     if args.kind == "qp":
         data = fileio.load_qp(args.input) if args.input else \
-            generate_random_qp(args.n, args.nc, args.seed)[0]
+            generate_random_qp(15 if args.n is None else args.n,
+                               20 if args.nc is None else args.nc,
+                               args.seed)[0]
         problem = qp_problem(data)
     else:
         if not args.input:
@@ -270,8 +276,10 @@ def build_parser():
                                            "diagnostic")
     p.add_argument("input", nargs="?", default=None)
     p.add_argument("--kind", choices=("qp", "binary"), default="qp")
-    p.add_argument("--n", type=_POS_INT, default=15)
-    p.add_argument("--nc", type=_NONNEG_INT, default=20)
+    p.add_argument("--n", type=_POS_INT, default=None,
+                   help="variables of the generated QP (default 15)")
+    p.add_argument("--nc", type=_NONNEG_INT, default=None,
+                   help="constraints of the generated QP (default 20)")
     p.add_argument("--points", type=_POS_INT, default=10)
     p.add_argument("--step", type=_POS_FLOAT, default=1e-6)
     p.add_argument("--tol", type=_POS_FLOAT, default=1e-5)

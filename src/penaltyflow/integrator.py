@@ -1,6 +1,7 @@
 """``solve``: flow integration with event-based stopping, trajectory
 sampling, and the multipliers and KKT residuals read off the final
-state.
+state's measurement: mu = penalty_weights(c, rho, m), with its
+``KktReport``, both from ``problem``.
 
 The flow is stepped by ``bdf.BDF``, the package's port of scipy's
 variable-order BDF/NDF method (Shampine & Reichelt, "The MATLAB ODE
@@ -38,8 +39,8 @@ import numpy as np
 from .bdf import BDF
 from .errors import EvaluationError, FactorOverflowError
 from .flow import FlowParams, FlowState, flow_jacobian, flow_rhs
-from .kkt import KktReport, _kkt_report
-from .problem import Problem, measure_state, penalty_weights
+from .problem import (KktReport, Problem, _kkt_report, measure_state,
+                      penalty_weights)
 from .fileio import atomic_write_text, fmt
 
 __all__ = [
@@ -125,6 +126,9 @@ class SolveResult:
     states. status = "converged" guarantees psi_final <= eps_psi and
     g_final <= eps_g. restarts counts the rebuilds of a stalled stepper.
     warnings holds the detail of a failure and is empty otherwise.
+    mu is the penalty weights rho * m * max(0, c)^(m-1) at the final
+    state, which tend to the KKT multipliers as psi -> 0 and
+    rho -> infinity; kkt holds their residuals there.
     """
 
     status: str

@@ -10,6 +10,7 @@ The decision vector is the stacked input sequence directly, so u(k) is
 just the first n_u components of the solution.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,8 +104,8 @@ def condense(plant: Plant, N: int, Q, R, P, u_max: float) -> ParametricQp:
     R = np.asarray(R, dtype=float)
     P = np.asarray(P, dtype=float)
     n_xi, n_u = plant.n_xi, plant.n_u
-    if N < 1:
-        raise ValueError("horizon N must be >= 1")
+    if not (isinstance(N, numbers.Integral) and N >= 1):
+        raise ValueError("horizon N must be an integer >= 1")
     if Q.shape != (n_xi, n_xi) or P.shape != (n_xi, n_xi):
         raise ValueError("Q and P must be n_xi x n_xi")
     if R.shape != (n_u, n_u):
@@ -186,24 +187,8 @@ class ClosedLoopTrace:
     results: list
 
     @property
-    def statuses(self) -> list:
-        return [r.status for r in self.results]
-
-    @property
-    def psi_finals(self) -> np.ndarray:
-        return np.array([r.psi for r in self.results])
-
-    @property
-    def g_finals(self) -> np.ndarray:
-        return np.array([r.g for r in self.results])
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.array([r.accepted_steps for r in self.results], dtype=int)
-
-    @property
     def all_converged(self) -> bool:
-        return all(s == "converged" for s in self.statuses)
+        return all(r.status == "converged" for r in self.results)
 
     def to_csv(self, path) -> None:
         n_xi = self.xi.shape[1]
@@ -226,8 +211,8 @@ def simulate_closed_loop(plant: Plant, pqp: ParametricQp, xi0, steps: int,
     from the previous one. Aborts early (returning the partial trace) if
     a step ends in rhs_failure.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError("steps must be an integer >= 1")
     xi = np.asarray(xi0, dtype=float).copy()
     xis, us, results = [], [], []
     warm = None

@@ -1,9 +1,11 @@
 """Differentiable inequality-constrained problems and the exact-penalty
 machinery built on them: ``evaluate(problem, x)``, the one checked call
-of a problem's f_x, c and c_x; the penalty weights; and
-``measure_state(problem, x, rho, params)``, which reads the penalty psi,
-the gradient norm g, the objective f and the constraint values of a
-state off one pass, ``_terms``, that the flow's right-hand side shares.
+of a problem's f_x, c and c_x; the penalty weights, which are also the
+multipliers; ``measure_state(problem, x, rho, params)``, which reads the
+penalty psi, the gradient norm g, the objective f and the constraint
+values of a state off one pass, ``_terms``, that the flow's right-hand
+side shares; and the KKT residuals of a primal/dual pair,
+``kkt_residuals`` (``KktReport``).
 
 Constraint convention throughout the package: every constraint is stored
 as c_i(x) <= 0. Builders that accept other forms (Ax <= B, bounds) must
@@ -19,8 +21,8 @@ import numpy as np
 from .errors import EvaluationError
 
 __all__ = [
-    "Problem", "PenaltyConfig", "evaluate", "measure_state",
-    "check_gradients", "GradCheckReport",
+    "Problem", "PenaltyConfig", "evaluate", "measure_state", "KktReport",
+    "kkt_residuals", "check_gradients", "GradCheckReport",
 ]
 
 
@@ -92,8 +94,10 @@ def penalty_weights(cvals, rho, m):
     """Per-constraint gradient weights rho * m * max(0, c_i)^(m-1).
 
     This is the single shared source for both the weighted-cost gradient
-    and the recovered KKT multipliers, so the stationarity residual built
-    from the multipliers reproduces g bitwise.
+    and the KKT multipliers, so the stationarity residual built from the
+    multipliers reproduces g bitwise. The multipliers of a flow's final
+    state are these weights, with no refit or re-solve: as psi -> 0 and
+    rho -> infinity they converge to mu*.
 
     For m = 1 the weight at c_i = 0 exactly is taken as 0 (the one-sided
     limit from the feasible side), which keeps the choice deterministic.
@@ -174,6 +178,53 @@ def measure_state(problem: Problem, x, rho: float, params):
     if not math.isfinite(g):
         raise EvaluationError(None, "gradient norm")
     return psi, g, f, cvals
+
+
+@dataclass(frozen=True)
+class KktReport:
+    """First-order residuals at a primal/dual pair.
+
+    stationarity is a 2-norm; the other three are max-norms (they are
+    per-constraint certificates). All four are >= 0, and
+    dual_infeasibility is 0 by construction for penalty-weight
+    multipliers.
+    """
+
+    stationarity: float
+    primal_infeasibility: float
+    dual_infeasibility: float
+    complementarity: float
+
+
+def kkt_residuals(problem: Problem, x, mu) -> KktReport:
+    """Evaluate the four KKT residuals at (x, mu), for a pair that is
+    not a flow's final state, such as an oracle's multipliers at the
+    flow's x.
+
+    stationarity        = || f_x + sum_i mu_i dc_i/dx ||_2
+    primal_infeasibility = max_i max(0, c_i(x))
+    dual_infeasibility   = max_i max(0, -mu_i)
+    complementarity      = max_i |mu_i * c_i(x)|
+
+    A non-finite evaluator output at x raises EvaluationError.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (problem.n_c,):
+        raise ValueError(
+            f"mu has shape {mu.shape}, expected ({problem.n_c},)")
+    grad, cvals, jac = evaluate(problem, x)
+    return _kkt_report(_norm(grad + mu @ jac), cvals, mu)
+
+
+def _kkt_report(stationarity, cvals, mu) -> KktReport:
+    """The residuals at x from the stationarity norm, the constraint
+    values c(x) and the multipliers."""
+    return KktReport(
+        stationarity=stationarity,
+        primal_infeasibility=float(np.max(np.maximum(cvals, 0.0), initial=0.0)),
+        dual_infeasibility=float(np.max(np.maximum(-mu, 0.0), initial=0.0)),
+        complementarity=float(np.max(np.abs(mu * cvals), initial=0.0)),
+    )
 
 
 @dataclass(frozen=True)

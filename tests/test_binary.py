@@ -307,6 +307,11 @@ class TestSolveBinary:
     def test_cap_validated(self):
         with pytest.raises(ValueError):
             pf.solve_binary(_knapsack(), max_minima=0)
+        # a fractional cap is refused, not rounded up by the loop
+        with pytest.raises(ValueError, match="^max_minima must be an integer"):
+            pf.solve_binary(_knapsack(), max_minima=2.5)
+        res = pf.solve_binary(_knapsack(), max_minima=np.int64(1))
+        assert res.inner_solves == 1
 
     def test_checks_before_first_solve(self, monkeypatch):
         # binary.solve is the seam every inner solve goes through

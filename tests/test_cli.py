@@ -338,6 +338,20 @@ class TestFlagReaders:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert {str(f) for f in tmp_path.iterdir()} == inputs
 
+    @pytest.mark.parametrize("argv", [
+        ["check-grads", "qp.json", "--n", "5", "--nc", "7"],
+        ["check-grads", "--kind", "binary", "knap.json", "--n", "9"],
+    ])
+    def test_generator_size_refused_with_file(self, tmp_path, capsys,
+                                              monkeypatch, argv):
+        # --n and --nc size only a generated QP; a file has its own size
+        monkeypatch.chdir(tmp_path)
+        _knapsack_file(tmp_path)
+        _descent_qp(tmp_path)
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--n and --nc size a generated QP" in err
+
 
 def _mpc_doc(**fields):
     doc = {"plant": {"n_xi": 1, "n_u": 1, "A_d": [1.0], "B_d": [1.0]},

@@ -100,6 +100,12 @@ class TestCondense:
         with pytest.raises(ValueError):
             pf.condense(plant, N=2, Q=np.eye(2), R=np.eye(1),
                         P=np.eye(2), u_max=-1.0)
+        with pytest.raises(ValueError, match="^horizon N must be an integer"):
+            pf.condense(plant, N=2.5, Q=np.eye(2), R=np.eye(1),
+                        P=np.eye(2), u_max=1.0)
+        pqp = pf.condense(plant, N=np.int64(2), Q=np.eye(2), R=np.eye(1),
+                          P=np.eye(2), u_max=1.0)
+        assert pqp.H.shape == (2, 2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_refused(self):
@@ -193,9 +199,10 @@ class TestSimulateClosedLoop:
         assert np.abs(demo_trace.u).max() <= 0.5 + 1e-6
 
     def test_demo_per_step_solver_quality(self, demo_trace):
-        assert np.max(demo_trace.psi_finals) <= 2e-13
-        assert np.max(demo_trace.g_finals) <= 1e-4
-        assert np.all(demo_trace.steps > 0)
+        results = demo_trace.results
+        assert max(r.psi for r in results) <= 2e-13
+        assert max(r.g for r in results) <= 1e-4
+        assert all(r.accepted_steps > 0 for r in results)
 
     def test_per_step_flow_matches_oracle(self, demo, demo_trace):
         _, pqp, _ = demo
@@ -225,27 +232,24 @@ class TestSimulateClosedLoop:
         trace = pf.simulate_closed_loop(plant, pqp, np.array(xi0), 3,
                                         pf.FlowParams(), pf.DEMO_STOP,
                                         pf.IntegratorConfig())
-        assert trace.statuses == ["converged"] * 3
+        assert [r.status for r in trace.results] == ["converged"] * 3
         assert float(np.abs(trace.u).max()) <= 0.5 + 1e-6
 
     def test_steps_validated(self, demo):
         plant, pqp, xi0 = demo
+        run = dict(params=pf.FlowParams(), stop=pf.DEMO_STOP,
+                   config=pf.IntegratorConfig())
         with pytest.raises(ValueError):
-            pf.simulate_closed_loop(plant, pqp, xi0, steps=0,
-                                    params=pf.FlowParams(),
-                                    stop=pf.DEMO_STOP,
-                                    config=pf.IntegratorConfig())
+            pf.simulate_closed_loop(plant, pqp, xi0, steps=0, **run)
+        with pytest.raises(ValueError, match="^steps must be an integer"):
+            pf.simulate_closed_loop(plant, pqp, xi0, steps=2.5, **run)
+        trace = pf.simulate_closed_loop(plant, pqp, np.zeros(2),
+                                        steps=np.int64(2), **run)
+        assert len(trace.results) == 2
 
     def test_summaries_read_off_results(self, demo_trace):
         results = demo_trace.results
         assert len(results) == demo_trace.u.shape[0] == 60
-        assert demo_trace.statuses == [r.status for r in results]
-        np.testing.assert_array_equal(demo_trace.psi_finals,
-                                      [r.psi for r in results])
-        np.testing.assert_array_equal(demo_trace.g_finals,
-                                      [r.g for r in results])
-        np.testing.assert_array_equal(demo_trace.steps,
-                                      [r.accepted_steps for r in results])
 
     def test_trace_csv_layout(self, demo_trace, tmp_path):
         path = tmp_path / "trace.csv"
