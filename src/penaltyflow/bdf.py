@@ -64,8 +64,8 @@ def _rms(v):
 
 class BDF:
     """One-step-at-a-time integration of y' = fun(t, y) from (t0, y0)
-    towards t_bound > t0, starting with step size
-    0 < first_step <= t_bound - t0.
+    towards t_bound > t0. The first step size is chosen from fun near
+    the start, at the cost of one extra call of fun (``_initial_step``).
 
     ``jac(t, y)`` returns the dense Jacobian. ``step()`` advances (t, y)
     by one accepted step and sets ``status`` to "finished" once t
@@ -75,7 +75,7 @@ class BDF:
     instance at every use.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, *, jac, rtol, atol, first_step):
+    def __init__(self, fun, t0, y0, t_bound, *, jac, rtol, atol):
         self._fun = fun
         self.t = t0
         self.y = y0
@@ -84,7 +84,7 @@ class BDF:
         self.nfev = self.njev = self.nlu = 0
         self.rtol, self.atol = rtol, atol
         f = self.fun(t0, y0)
-        self.h_abs = first_step
+        self.h_abs = self._initial_step(t0, y0, f)
         self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
         self._jac = jac
         self.J = self.jac(t0, y0)
@@ -95,6 +95,30 @@ class BDF:
         self.order = 1
         self.n_equal_steps = 0
         self.LU = None
+
+    def _initial_step(self, t0, y0, f0):
+        """The first step size by the rule of Hairer, Norsett & Wanner,
+        "Solving Ordinary Differential Equations I", Sec. II.4, for an
+        error of order 2 in h, as scipy's select_initial_step computes
+        it: a trial step of 1% of |y0| / |f0| in the error norm probes
+        the change of fun, and the step is at most 100 times that trial
+        and at most t_bound - t0."""
+        interval_length = self.t_bound - t0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.5
+        return min(100 * h0, h1, interval_length)
 
     def fun(self, t, y):
         self.nfev += 1

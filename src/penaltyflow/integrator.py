@@ -11,10 +11,11 @@ scale grows like rho along the flow, so reaching the asymptotic regime
 practical for a stiff method whose steps grow geometrically. The
 stepper always gets the flow Jacobian (``flow_jacobian``): exact when
 the problem has a Hessian hook, and with its Hessian K differenced
-from the Lagrangian gradient when it has none. The first step is 1e-6,
-or the rest of the horizon when that is shorter. If the stepper stalls
-it is rebuilt from the last accepted state; rebuilds that make no
-forward progress terminate the run.
+from the Lagrangian gradient when it has none. The stepper sizes its
+first step from the flow at its start state, with one extra RHS call,
+and never past the horizon. If the stepper stalls it is rebuilt from
+the last accepted state, sizing its first step afresh; rebuilds that
+make no forward progress terminate the run.
 
 The answer is the asymptotic state, not the path to it: "converged" is
 certified at the final state by the stop test (psi <= eps_psi and
@@ -50,10 +51,6 @@ __all__ = [
 
 # pathological stepper-stall ceiling; each restart must advance t
 _MAX_RESTARTS = 100
-
-# first BDF step size, cut to the remaining horizon; the stepper grows it
-# geometrically from here
-_FIRST_STEP = 1e-6
 
 # the trajectory keeps every this-many-th accepted step
 _SAMPLE_STRIDE = 10
@@ -229,9 +226,7 @@ def solve(problem: Problem, params: FlowParams, state0: FlowState,
                     break
                 if stepper is None:
                     stepper = BDF(rhs, t, y, t_bound=stop.t_max, jac=jac,
-                                  rtol=config.rtol, atol=config.atol,
-                                  first_step=min(_FIRST_STEP,
-                                                 stop.t_max - t))
+                                  rtol=config.rtol, atol=config.atol)
                 stepper.step()
                 if stepper.status == "failed":
                     # stalled: rebuild from the last accepted state, but

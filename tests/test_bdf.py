@@ -41,22 +41,31 @@ def _cases():
     return {
         "qp": (*_packed_flow(qp, pf.FlowParams()), np.zeros(16), 1e24,
                "running"),
+        # y0 != 0 enters the first-step rule's scale and trial step
+        "warm": (*_packed_flow(qp, pf.FlowParams()),
+                 np.r_[np.full(15, 0.5), 0.0], 1e24, "running"),
         # the binarized Hessian hook at q = 4
         "binary": (*_packed_flow(binary, pf.FlowParams(q=BINARY_Q)),
                    np.full(7, 0.5), 1e24, "finished"),
         # the last step is cut to t_bound
         "clipped": (*_packed_flow(halfspace, pf.FlowParams()), np.zeros(3),
                     1.0, "finished"),
+        # the rule picks 1e-4 here, so the first step is the horizon
+        "short": (*_packed_flow(halfspace, pf.FlowParams()), np.zeros(3),
+                  1e-5, "finished"),
         "wall": (_wall, lambda t, y: -np.eye(2), np.ones(2), 1e24, "failed"),
     }
 
 
-@pytest.mark.parametrize("case", ["qp", "binary", "clipped", "wall"])
+@pytest.mark.parametrize("case", ["qp", "warm", "binary", "clipped",
+                                  "short", "wall"])
 def test_steps_match_scipy_bdf(case):
+    # neither is given a first step: both size it from rhs
     rhs, jac, y0, t_bound, status = _cases()[case]
     ours, ref = (cls(rhs, 0.0, y0.copy(), t_bound=t_bound, jac=jac,
-                     rtol=1e-3, atol=1e-9, first_step=1e-6)
+                     rtol=1e-3, atol=1e-9)
                  for cls in (BDF, ScipyBDF))
+    assert (ours.h_abs, ours.nfev) == (ref.h_abs, ref.nfev)
     for k in range(400):
         ours.step()
         ref.step()
@@ -69,15 +78,16 @@ def test_steps_match_scipy_bdf(case):
         if ref.status != "running":
             break
     assert ours.status == status
-    if case == "clipped":
+    if case in ("clipped", "short"):
         assert ours.t == t_bound
+    if case == "short":
+        assert k == 0
 
 
 def _decay():
     # y' = -y
     return BDF(lambda t, y: -y, 0.0, np.ones(2), t_bound=1.0,
-               jac=lambda t, y: -np.eye(2), rtol=1e-3, atol=1e-9,
-               first_step=1e-6)
+               jac=lambda t, y: -np.eye(2), rtol=1e-3, atol=1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
