@@ -40,8 +40,8 @@ import numpy as np
 from .bdf import BDF
 from .errors import EvaluationError, FactorOverflowError
 from .flow import FlowParams, FlowState, flow_jacobian, flow_rhs
-from .problem import (KktReport, Problem, _kkt_report, measure_state,
-                      penalty_weights)
+from .problem import (KktReport, Problem, _finite, _kkt_report,
+                      measure_state, penalty_weights)
 from .fileio import atomic_write_text, fmt
 
 __all__ = [
@@ -186,6 +186,8 @@ def solve(problem: Problem, params: FlowParams, state0: FlowState,
     if x0.shape != (problem.n,):
         raise ValueError(f"initial x has shape {x0.shape}, "
                          f"expected ({problem.n},)")
+    if not _finite(x0):
+        raise ValueError("initial x has a non-finite entry")
     y = np.concatenate([x0, [float(state0.rho)]])
     t = 0.0
 

@@ -2,14 +2,17 @@
 
 A discrete LTI plant is condensed over a finite horizon into a QP whose
 linear term depends affinely on the measured state xi. At every control
-step the instantiated QP is handed to the flow integrator (warm-started
-from the previous solution), the first input of the optimizer is applied,
-and the plant is advanced.
+step the instantiated QP is handed to the flow integrator, the first
+input of the optimizer is applied, and the plant is advanced. Each solve
+is warm-started from the previous step's plan shifted one step ahead,
+its last input held (Ferreau, Bock & Diehl, "An online active set
+strategy to overcome the limitations of explicit MPC", 2008).
 
 The decision vector is the stacked input sequence directly, so u(k) is
 just the first n_u components of the solution.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -110,8 +113,9 @@ def condense(plant: Plant, N: int, Q, R, P, u_max: float) -> ParametricQp:
         raise ValueError("Q and P must be n_xi x n_xi")
     if R.shape != (n_u, n_u):
         raise ValueError("R must be n_u x n_u")
-    if u_max < 0.0:
-        raise ValueError("u_max must be >= 0")
+    # written so that NaN fails
+    if not 0.0 <= u_max < math.inf:
+        raise ValueError(f"u_max must be finite and >= 0, got {u_max}")
 
     n = N * n_u
     T = np.zeros((N * n_xi, n_xi))
@@ -157,22 +161,26 @@ def mpc_step(pqp: ParametricQp, xi, params: FlowParams,
     """Solve the instantiated QP by flow integration and return
     (u_applied, SolveResult).
 
-    Starts from (warm, rho = 0) when a previous solution is available,
-    else from the origin. A non-converged solve still yields the best
-    state reached; the caller sees the status on the result.
+    ``warm`` is the previous step's solution (u_0, .., u_{N-1}). The
+    flow then starts at rho = 0 from that plan shifted one step ahead,
+    (u_1, .., u_{N-1}, u_{N-1}), since the plant has applied u_0;
+    without ``warm`` it starts from the origin. A non-converged solve
+    still yields the best state reached; the caller sees the status on
+    the result.
     """
     data = instantiate(pqp, xi)
     problem = qp_problem(data)
     n = data.n
+    n_u = n // pqp.N
     if warm is not None:
         warm = np.asarray(warm, dtype=float)
         if warm.shape != (n,):
             raise ValueError(f"warm has shape {warm.shape}, expected ({n},)")
-        x0 = warm
+        x0 = np.concatenate([warm[n_u:], warm[-n_u:]])
     else:
         x0 = np.zeros(n)
     res = solve(problem, params, FlowState(x=x0, rho=0.0), stop, config)
-    u = res.x[:n // pqp.N].copy()
+    u = res.x[:n_u].copy()
     return u, res
 
 
@@ -207,8 +215,8 @@ class ClosedLoopTrace:
 def simulate_closed_loop(plant: Plant, pqp: ParametricQp, xi0, steps: int,
                          params: FlowParams, stop: StopCriteria,
                          config: IntegratorConfig) -> ClosedLoopTrace:
-    """Run ``steps`` control steps from xi0, warm-starting each solve
-    from the previous one. Aborts early (returning the partial trace) if
+    """Run ``steps`` control steps from xi0, passing each solve the
+    previous solution as ``warm`` (see ``mpc_step``). Aborts early (returning the partial trace) if
     a step ends in rhs_failure.
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):

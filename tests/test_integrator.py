@@ -175,7 +175,10 @@ class TestIntegrate:
         (np.zeros(3), 0.0, "x"),
         (np.zeros(1), 0.0, "x"),
         (np.zeros((2, 1)), 0.0, "x"),
-    ], ids=["rho-nan", "rho-inf", "x-long", "x-short", "x-column"])
+        (np.array([0.0, math.nan]), 0.0, "x"),
+        (np.array([-math.inf, 0.0]), 0.0, "x"),
+    ], ids=["rho-nan", "rho-inf", "x-long", "x-short", "x-column", "x-nan",
+            "x-inf"])
     def test_bad_initial_state_rejected(self, halfspace_problem, x, rho,
                                         field):
         with pytest.raises(ValueError, match=f"initial {field}"):

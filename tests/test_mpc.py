@@ -107,6 +107,14 @@ class TestCondense:
                           P=np.eye(2), u_max=1.0)
         assert pqp.H.shape == (2, 2)
 
+    @pytest.mark.parametrize("u_max", [np.nan, np.inf])
+    def test_non_finite_u_max_refused(self, u_max):
+        # refused by name here, not as a non-finite B at every later step
+        plant = pf.Plant(A_d=np.eye(2), B_d=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="^u_max must be finite"):
+            pf.condense(plant, N=2, Q=np.eye(2), R=np.eye(1),
+                        P=np.eye(2), u_max=u_max)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_refused(self):
         # A_d^2 = 1e400 overflows in the prediction matrices
@@ -169,6 +177,25 @@ class TestMpcStep:
             pf.mpc_step(pqp, xi0, pf.FlowParams(), pf.DEMO_STOP,
                         pf.IntegratorConfig(), warm=np.zeros(3))
 
+    def test_warm_start_is_the_shifted_plan(self, demo):
+        # the plant has applied u_0, so the flow starts from
+        # (u_1, .., u_{N-1}, u_{N-1}) at rho = 0
+        _, pqp, xi0 = demo
+        warm = np.linspace(-0.4, 0.5, pqp.N)
+        _, res = pf.mpc_step(pqp, xi0, pf.FlowParams(), pf.DEMO_STOP,
+                             pf.IntegratorConfig(), warm=warm)
+        assert res.trajectory[0, 1] == 0.0
+        np.testing.assert_array_equal(res.trajectory[0, 6:],
+                                      np.r_[warm[1:], warm[-1:]])
+
+    def test_non_finite_warm_start_refused(self, demo):
+        _, pqp, xi0 = demo
+        warm = np.zeros(pqp.N)
+        warm[1] = np.nan
+        with pytest.raises(ValueError, match="^initial x has a non-finite"):
+            pf.mpc_step(pqp, xi0, pf.FlowParams(), pf.DEMO_STOP,
+                        pf.IntegratorConfig(), warm=warm)
+
     def test_factor_modes_agree(self, demo):
         _, pqp, xi0 = demo
         u_plain, _ = pf.mpc_step(pqp, xi0, pf.FlowParams(q=1),
@@ -211,6 +238,13 @@ class TestSimulateClosedLoop:
             osol = pf.active_set_oracle(data)
             err = np.linalg.norm(res.x - osol.x_star)
             assert err <= 1e-2 * (1.0 + np.linalg.norm(osol.x_star))
+
+    def test_warm_solves_are_short(self, demo_trace):
+        # the first step is sized from the flow and the start is the
+        # shifted plan; a fixed first step of 1e-6 and the unshifted
+        # plan took a median of 29
+        steps = [r.accepted_steps for r in demo_trace.results]
+        assert np.median(steps) <= 20
 
     def test_cold_start_reaches_same_endpoint(self, demo, demo_trace):
         plant, pqp, xi0 = demo
