@@ -98,11 +98,11 @@ class BDF:
 
     def _initial_step(self, t0, y0, f0):
         """The first step size by the rule of Hairer, Norsett & Wanner,
-        "Solving Ordinary Differential Equations I", Sec. II.4, for an
-        error of order 2 in h, as scipy's select_initial_step computes
-        it: a trial step of 1% of |y0| / |f0| in the error norm probes
-        the change of fun, and the step is at most 100 times that trial
-        and at most t_bound - t0."""
+        "Solving Ordinary Differential Equations I", Sec. II.4, at
+        order 1, computed as scipy's select_initial_step does. A trial
+        step h0 of 1% of |y0| / |f0| in the error norm (1e-6 when either
+        is tiny) probes how fast fun changes, at the cost of one call of
+        fun; the step is at most 100 h0 and at most t_bound - t0."""
         interval_length = self.t_bound - t0
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _rms(y0 / scale)

@@ -96,10 +96,11 @@ class IntegratorConfig:
     its final state by ``StopCriteria`` (psi <= eps_psi and
     g <= eps_g), which no tolerance setting relaxes, so rtol is sized to
     the stop test rather than to the trajectory. A looser rtol can keep
-    a run from ever meeting the stop test: at 1e-2, 38 of the 50 QPs of
+    a run from ever meeting the stop test: at 1e-2, 39 of the 50 QPs of
     the seeded benchmark end unconverged. atol stays tight: at 1e-6 the
-    final x and the multipliers read off it are 30-100 times further
-    from the reference on that benchmark, and one of its solves fails.
+    multipliers read off the final x are 17 times and x itself 220
+    times further from the reference on that benchmark, and one of its
+    solves fails.
     """
 
     rtol: float = 1e-3

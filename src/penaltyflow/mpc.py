@@ -216,8 +216,8 @@ def simulate_closed_loop(plant: Plant, pqp: ParametricQp, xi0, steps: int,
                          params: FlowParams, stop: StopCriteria,
                          config: IntegratorConfig) -> ClosedLoopTrace:
     """Run ``steps`` control steps from xi0, passing each solve the
-    previous solution as ``warm`` (see ``mpc_step``). Aborts early (returning the partial trace) if
-    a step ends in rhs_failure.
+    previous solution as ``warm`` (see ``mpc_step``). Aborts early
+    (returning the partial trace) if a step ends in rhs_failure.
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError("steps must be an integer >= 1")
