@@ -31,7 +31,6 @@ from .binary import (BinaryRunResult, DeflationRecord, binarize,
                      binary_quadratic, brute_force_oracle, bumped_cost,
                      deflate_cost, find_neighbor, native_feasible,
                      solve_binary)
-from .fileio import (load_binary_problem, load_mpc_scenario, load_qp,
-                     save_qp)
+from .fileio import load_binary_problem, load_mpc_scenario, load_qp
 
 __version__ = "0.1.0"

@@ -25,8 +25,7 @@ from .integrator import IntegratorConfig, StopCriteria, solve, save_trajectory
 from .mpc import DEMO_STOP, condense, double_integrator_demo, Plant, \
     simulate_closed_loop
 from .problem import check_gradients
-from .qp import (ORACLE_NC_MAX, generate_random_qp, qp_problem,
-                 run_benchmark)
+from .qp import generate_random_qp, qp_problem, run_benchmark
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -110,10 +109,6 @@ def cmd_solve_qp(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.nc > ORACLE_NC_MAX:
-        print(f"error: --nc {args.nc} exceeds the oracle bound "
-              f"{ORACLE_NC_MAX}", file=sys.stderr)
-        return EXIT_PARSE
     report = run_benchmark(args.count, args.n, args.nc, *_configs(args),
                            seed=args.seed)
     report.to_csv(args.report)

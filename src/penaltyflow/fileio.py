@@ -1,9 +1,9 @@
 """File formats and formatting helpers.
 
 Problem and scenario files are JSON. Matrices are stored as row-major
-flat lists; Python's float repr is shortest-round-trip, so a save/load
-cycle is bit exact. All writes go through a temp file in the target
-directory followed by an atomic rename.
+flat lists; Python's float repr is shortest-round-trip, so a file that
+``json.dumps`` wrote loads back bit exact. All writes go through a temp
+file in the target directory followed by an atomic rename.
 """
 
 import json
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FileFormatError
 
 __all__ = [
-    "fmt", "atomic_write_text", "load_qp", "save_qp",
+    "fmt", "atomic_write_text", "load_qp",
     "load_mpc_scenario", "load_binary_problem",
 ]
 
@@ -119,18 +119,6 @@ def load_qp(path):
         A=_matrix(doc, "A", nc, n) if nc else np.zeros((0, n)),
         B=_vector(doc, "B", nc) if nc else np.zeros(0),
     )
-
-
-def save_qp(data, path) -> None:
-    doc = {
-        "n": int(data.F.size),
-        "nc": int(data.B.size),
-        "H": data.H.reshape(-1).tolist(),
-        "F": data.F.tolist(),
-        "A": data.A.reshape(-1).tolist(),
-        "B": data.B.tolist(),
-    }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
 def load_mpc_scenario(path):

@@ -8,13 +8,12 @@ for generated instances, positive definite.
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import EnumerationBoundError, OracleError, PenaltyFlowError
+from .errors import OracleError, PenaltyFlowError
 from .fileio import atomic_write_text, fmt
 from .flow import FlowParams, FlowState
 from .integrator import IntegratorConfig, SolveResult, StopCriteria, solve
@@ -23,12 +22,8 @@ from .problem import PenaltyConfig, Problem
 __all__ = [
     "QpData", "OracleSolution", "qp_problem", "generate_random_qp",
     "active_set_oracle", "run_benchmark", "BenchRow", "BenchReport",
-    "ORACLE_NC_MAX", "BENCH_PSI_MAX", "BENCH_RATIO_BAND",
+    "BENCH_PSI_MAX", "BENCH_RATIO_BAND",
 ]
-
-# hard bound on the active-set enumeration (2^25 subsets is already the
-# worst-case fallback; beyond this the oracle refuses)
-ORACLE_NC_MAX = 25
 
 # benchmark pass thresholds
 BENCH_PSI_MAX = 1e-6
@@ -177,25 +172,26 @@ def _verify(data, x, S, mu_S, scale):
 
 
 def active_set_oracle(data: QpData) -> OracleSolution:
-    """Exact reference solution for a strictly convex QP.
+    """Exact reference solution for a strictly convex QP: certified or
+    refused.
 
-    Candidate active sets are tried as equality-KKT systems built on the
-    Cholesky factor of H. An exchange loop (drop the most negative
-    multiplier, else add the most violated constraint) finds the optimal
-    set directly in almost all cases; since H > 0 makes the KKT point
-    unique, the first candidate passing the full KKT check is the
-    optimum. If the loop cycles, the subsets are enumerated exhaustively
-    by increasing cardinality and lexicographic order within cardinality
-    (first-found tie-break), which is the deterministic reference
-    behavior. Candidate subsets with singular reduced systems are
-    skipped.
+    Candidate active sets are solved as equality-KKT systems built on
+    the Cholesky factor of H. An exchange loop starts from the empty set
+    and either drops the constraint with the most negative multiplier
+    or adds the most violated one. Since H > 0 makes the KKT point
+    unique, a candidate passing the full KKT check (primal and dual
+    feasibility, stationarity, complementarity) is the optimum, and it
+    is returned.
 
-    Requires n_c <= ORACLE_NC_MAX; raises OracleError if H is not
-    positive definite or no candidate passes verification.
+    Raises OracleError if H is not positive definite, or when one of the
+    loop's guards fires before a candidate is certified:
+    - an active set is seen a second time (the loop cycles);
+    - the reduced system of an active set is singular;
+    - adding a violated constraint would make the set exceed n rows;
+    - a candidate with no negative multiplier and no violated
+      constraint fails the KKT check;
+    - 4 (n_c + 1) exchanges pass without a certificate.
     """
-    if data.n_c > ORACLE_NC_MAX:
-        raise EnumerationBoundError(
-            f"n_c = {data.n_c} exceeds the enumeration bound {ORACLE_NC_MAX}")
     try:
         cho = sla.cho_factor(data.H)
     except sla.LinAlgError as e:
@@ -214,25 +210,19 @@ def active_set_oracle(data: QpData) -> OracleSolution:
     W = data.A @ HinvAT
     c_u = data.A @ x_u - data.B
 
-    def try_set(S):
-        out = _subset_candidate(S, W, HinvAT, x_u, c_u)
-        if out is None:
-            return None, None
-        x, mu_S = out
-        mu = _verify(data, x, S, mu_S, scale)
-        return x, mu
-
-    # exchange loop
     S = []
     seen = set()
-    for _ in range(4 * (data.n_c + 1)):
+    max_iter = 4 * (data.n_c + 1)
+    for _ in range(max_iter):
         key = tuple(S)
         if key in seen:
-            break
+            raise OracleError(f"active set {key} seen twice: the exchange "
+                              "loop cycles")
         seen.add(key)
         out = _subset_candidate(S, W, HinvAT, x_u, c_u)
         if out is None:
-            break
+            raise OracleError(f"reduced system of active set {key} is "
+                              "singular")
         x, mu_S = out
         if len(S) and np.min(mu_S) < -_FEAS_TOL * scale:
             S = sorted(set(S) - {S[int(np.argmin(mu_S))]})
@@ -243,31 +233,19 @@ def active_set_oracle(data: QpData) -> OracleSolution:
         worst = int(np.argmax(resid))
         if resid[worst] > _FEAS_TOL * scale:
             if len(S) >= data.n:
-                break
+                raise OracleError(
+                    f"constraint {worst} is violated with n = {data.n} "
+                    "rows already active")
             S = sorted(set(S) | {worst})
             continue
         mu = _verify(data, x, S, mu_S, scale)
-        if mu is not None:
-            f_star = 0.5 * float(x @ data.H @ x) + float(data.F @ x)
-            return OracleSolution(x_star=x, f_star=f_star,
-                                  active_set=tuple(S), mu_star=mu)
-        break
-
-    # exhaustive fallback: cardinality then lexicographic order
-    best = None
-    for k in range(0, min(data.n_c, data.n) + 1):
-        for S in combinations(range(data.n_c), k):
-            x, mu = try_set(list(S))
-            if mu is None:
-                continue
-            f_val = 0.5 * float(x @ data.H @ x) + float(data.F @ x)
-            if best is None or f_val < best[1]:
-                best = (x, f_val, S, mu)
-    if best is None:
-        raise OracleError("no candidate active set passed the KKT check")
-    x, f_val, S, mu = best
-    return OracleSolution(x_star=x, f_star=f_val, active_set=tuple(S),
-                          mu_star=mu)
+        if mu is None:
+            raise OracleError(f"active set {key} fails the KKT check")
+        f_star = 0.5 * float(x @ data.H @ x) + float(data.F @ x)
+        return OracleSolution(x_star=x, f_star=f_star,
+                              active_set=tuple(S), mu_star=mu)
+    raise OracleError(f"no certified active set after {max_iter} "
+                      "exchanges")
 
 
 # ----------------------------------------------------------------------

@@ -22,11 +22,9 @@ def _write_json(tmp_path, name, doc):
 
 def _descent_qp(tmp_path):
     # interior optimum at (2, 0), constraint x0 >= -1 never active
-    data = pf.QpData(H=np.eye(2), F=np.array([-2.0, 0.0]),
-                     A=np.array([[-1.0, 0.0]]), B=np.array([-1.0]))
-    p = tmp_path / "qp.json"
-    pf.save_qp(data, p)
-    return str(p)
+    return _write_json(tmp_path, "qp.json",
+                       {"n": 2, "nc": 1, "H": [1.0, 0.0, 0.0, 1.0],
+                        "F": [-2.0, 0.0], "A": [-1.0, 0.0], "B": [-1.0]})
 
 
 def _knapsack_file(tmp_path):
@@ -95,11 +93,14 @@ class TestBench:
         assert traj[0] == "t,psi,f_ratio"
         assert len(traj) > 1
 
-    def test_oracle_bound_rejected_up_front(self, tmp_path, capsys):
+    def test_large_nc_accepted(self, tmp_path, capsys):
+        report = tmp_path / "bench.csv"
         rc = main(["bench", "--count", "1", "--n", "2", "--nc", "26",
-                   "--report", str(tmp_path / "bench.csv")])
-        assert rc == EXIT_PARSE
-        assert "exceeds the oracle bound" in capsys.readouterr().err
+                   "--report", str(report)])
+        assert rc == EXIT_OK
+        assert "all passed" in capsys.readouterr().out
+        row = report.read_text().splitlines()[1].split(",")
+        assert row[:4] == ["0", "2", "26", "converged"]
 
     def test_failing_seed_reported(self, tmp_path, capsys):
         rc = main(["bench", "--count", "1", "--n", "3", "--nc", "2",

@@ -56,8 +56,10 @@ class TestAtomicWrite:
 class TestQpRoundTrip:
     def test_save_load_bit_exact(self, tmp_path):
         data, _ = pf.generate_random_qp(4, 3, seed=7)
-        p = tmp_path / "qp.json"
-        pf.save_qp(data, p)
+        p = _write(tmp_path, "qp.json", {
+            "n": 4, "nc": 3, "H": data.H.reshape(-1).tolist(),
+            "F": data.F.tolist(), "A": data.A.reshape(-1).tolist(),
+            "B": data.B.tolist()})
         back = pf.load_qp(p)
         np.testing.assert_array_equal(back.H, data.H)
         np.testing.assert_array_equal(back.F, data.F)

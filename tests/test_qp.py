@@ -10,8 +10,7 @@ from scipy.optimize import minimize
 
 import penaltyflow as pf
 from penaltyflow import qp
-from penaltyflow.errors import (EnumerationBoundError, EvaluationError,
-                                OracleError)
+from penaltyflow.errors import EvaluationError, OracleError
 from penaltyflow.qp import BENCH_HEADER
 
 
@@ -135,9 +134,11 @@ class TestActiveSetOracle:
         assert sol.active_set == ()
         np.testing.assert_array_equal(sol.mu_star, [0.0])
 
-    def test_kkt_certified_on_seeded_instances(self):
-        for seed in range(8):
-            data, _ = pf.generate_random_qp(6, 5, seed=seed)
+    @pytest.mark.parametrize("n, n_c, seeds",
+                             [(6, 5, 8), (60, 80, 3), (120, 160, 3)])
+    def test_kkt_certified_on_seeded_instances(self, n, n_c, seeds):
+        for seed in range(seeds):
+            data, _ = pf.generate_random_qp(n, n_c, seed=seed)
             sol = pf.active_set_oracle(data)
             assert np.all(sol.mu_star >= 0.0)
             resid = data.A @ sol.x_star - data.B
@@ -162,12 +163,6 @@ class TestActiveSetOracle:
             np.testing.assert_allclose(sol.f_star, ref.fun,
                                        rtol=1e-6, atol=1e-9)
 
-    def test_enumeration_bound(self):
-        data = pf.QpData(H=np.eye(2), F=np.zeros(2),
-                         A=np.zeros((26, 2)), B=np.ones(26))
-        with pytest.raises(EnumerationBoundError):
-            pf.active_set_oracle(data)
-
     def test_indefinite_h_rejected(self):
         data = pf.QpData(H=np.array([[0.0]]), F=np.zeros(1),
                          A=np.zeros((0, 1)), B=np.zeros(0))
@@ -179,7 +174,7 @@ class TestActiveSetOracle:
         data = pf.QpData(H=np.eye(1), F=np.zeros(1),
                          A=np.array([[1.0], [-1.0]]),
                          B=np.array([-1.0, -1.0]))
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match="n = 1 rows already active"):
             pf.active_set_oracle(data)
 
 
@@ -256,10 +251,14 @@ class TestRunBenchmark:
             pf.run_benchmark(1, 2, 1, pf.FlowParams(), pf.StopCriteria(),
                              pf.IntegratorConfig(), seed=0)
 
-    def test_per_instance_error_capture(self):
-        rep = pf.run_benchmark(1, 2, 26, pf.FlowParams(),
+    def test_per_instance_error_capture(self, monkeypatch):
+        def refusing_oracle(data):
+            raise OracleError("refused")
+
+        monkeypatch.setattr(qp, "active_set_oracle", refusing_oracle)
+        rep = pf.run_benchmark(1, 2, 1, pf.FlowParams(),
                                pf.StopCriteria(), pf.IntegratorConfig(),
                                seed=0)
-        assert rep.rows[0].status == "error:EnumerationBoundError"
+        assert rep.rows[0].status == "error:OracleError"
         assert not rep.passed
         assert rep.failing_seeds == [0]
