@@ -5,18 +5,19 @@ Sci. Comput. 18(1), 1-22 (1997), as scipy.integrate.BDF implements it.
 This is that implementation narrowed to the one case the integrator
 uses: a real, dense system stepped forward in time with no step-size
 ceiling and a Jacobian callable, which the integrator always supplies
-as the flow Jacobian. Every floating-point operation, and the order of
-them, is scipy's, so a trajectory is bit-identical to what scipy's BDF
+as the flow Jacobian. The LU factors come straight from LAPACK's
+dgetrf/dgetrs. Every floating-point operation, and the order of them,
+is scipy's, so a trajectory is bit-identical to what scipy's BDF
 computes with the same Jacobian callable; the test suite steps the two
-side by side. The LU factors come straight from
-LAPACK's dgetrf/dgetrs.
+side by side. The one departure is at a dead end: where scipy raises on
+a non-finite Newton system or warns on a singular one, the port fails
+the Newton iteration once its update is not finite, and where scipy
+divides by a zero step size, the port fails the step.
 """
 
 import math
-import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .problem import _finite, _norm
@@ -69,9 +70,11 @@ class BDF:
 
     ``jac(t, y)`` returns the dense Jacobian. ``step()`` advances (t, y)
     by one accepted step and sets ``status`` to "finished" once t
-    reaches t_bound, or to "failed" when the step size would drop below
-    10 ulp(t). nfev counts the calls of fun, njev those of jac and nlu
-    the LU factorizations. ``lu`` and ``solve_lu`` are looked up on the
+    reaches t_bound, or to "failed" when the step size is not > 0 or
+    would drop below 10 ulp(t). A step whose Newton iteration diverges
+    or meets a non-finite update is retried with a fresh Jacobian, then
+    halved. nfev counts the calls of fun, njev those of jac and nlu the
+    LU factorizations. ``lu`` and ``solve_lu`` are looked up on the
     instance at every use.
     """
 
@@ -129,29 +132,15 @@ class BDF:
         return self._jac(t, y)
 
     def lu(self, A):
-        """LU factors (lu, piv) of A, which may be overwritten. A
-        non-finite A raises ValueError; a singular one warns and is
-        factored."""
+        """LU factors (lu, piv) of A, which may be overwritten; a
+        non-finite or singular A is factored as it is."""
         self.nlu += 1
-        if not _finite(A):
-            raise ValueError("array must not contain infs or NaNs")
-        lu, piv, info = dgetrf(A, overwrite_a=True)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgetrf")
-        if info > 0:
-            warnings.warn(f"Diagonal number {info} is exactly zero. "
-                          "Singular matrix.", LinAlgWarning, stacklevel=2)
-        return lu, piv
+        return dgetrf(A, overwrite_a=True)[:2]
 
     def solve_lu(self, LU, b):
         """The solution of A x = b from the factors of A; b may be
-        overwritten. A non-finite b raises ValueError."""
-        if not _finite(b):
-            raise ValueError("array must not contain infs or NaNs")
-        x, info = dgetrs(*LU, b, overwrite_b=True)
-        if info:
-            raise ValueError(f"illegal value in argument {-info} of dgetrs")
-        return x
+        overwritten."""
+        return dgetrs(*LU, b, overwrite_b=True)[0]
 
     def _newton(self, t_new, y_predict, c, psi, LU, scale):
         """Simplified Newton iterations on the BDF equation; returns
@@ -162,9 +151,10 @@ class BDF:
         converged = False
         for k in range(NEWTON_MAXITER):
             f = self.fun(t_new, y)
-            if not _finite(f):
-                break
             dy = self.solve_lu(LU, c * f - psi - d)
+            # a non-finite f, a non-finite or singular I - cJ, or an overflow
+            if not _finite(dy):
+                break
             dy_norm = _rms(dy / scale)
             rate = None if dy_norm_old is None else dy_norm / dy_norm_old
             if (rate is not None and (rate >= 1 or
@@ -181,6 +171,10 @@ class BDF:
         return converged, k + 1, y, d
 
     def step(self):
+        # written so that NaN fails
+        if not self.h_abs > 0:
+            self.status = "failed"
+            return
         t = self.t
         D = self.D
         order = self.order

@@ -182,15 +182,14 @@ def deflate_cost(f, centres, amplitudes, x_s, z_s):
     """Stack a bump at x_s sized against the neighbor z_s.
 
     Returns ``centres`` and ``amplitudes`` with x_s and
-    a = max(1 + 2 f(z_s), 1 + 2 |f(z_s)|) appended, ``f`` being the cost
+    a = 1 + 2 |f(z_s)| appended, ``f`` being the cost
     they give. The guard keeps a >= 1, so the bump raises the cost at x_s
     by at least 1 while the cost at z_s (distance >= 1) moves by only
     a * exp(-mu_defl / 4). Where x_s lies much lower than z_s one bump
     does not lift it above z_s; the loop lands on x_s again and stacks
     another bump.
     """
-    fz = float(f(z_s))
-    a = max(1.0 + 2.0 * fz, 1.0 + 2.0 * abs(fz))
+    a = 1.0 + 2.0 * abs(float(f(z_s)))
     return (np.vstack([centres, np.asarray(x_s, dtype=float)]),
             np.append(amplitudes, a))
 

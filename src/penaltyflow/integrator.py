@@ -13,9 +13,10 @@ stepper always gets the flow Jacobian (``flow_jacobian``): exact when
 the problem has a Hessian hook, and with its Hessian K differenced
 from the Lagrangian gradient when it has none. The stepper sizes its
 first step from the flow at its start state, with one extra RHS call,
-and never past the horizon. If the stepper stalls it is rebuilt from
-the last accepted state, sizing its first step afresh; rebuilds that
-make no forward progress terminate the run.
+and never past the horizon. Every numerical dead end of the stepper
+ends in its status "failed" (see ``bdf``). A failed stepper is rebuilt
+from the last accepted state, sizing its first step afresh; rebuilds
+that make no forward progress terminate the run.
 
 The answer is the asymptotic state, not the path to it: "converged" is
 certified at the final state by the stop test (psi <= eps_psi and
@@ -212,9 +213,9 @@ def solve(problem: Problem, params: FlowParams, state0: FlowState,
     try:
         row, cvals = measure(t, y)
         rows.append(row)
-        # a Newton update whose norm overflows reads inf: the iteration
-        # counts it as divergence, or the next RHS call fails with a
-        # typed error, so numpy's overflow warning adds nothing
+        # an overflow leaves an inf that a later test catches: a
+        # non-finite Newton update or a zero step fails the stepper, and
+        # an evaluator raises a typed error, so the warning adds nothing
         with np.errstate(over="ignore"):
             while True:
                 if row[2] <= stop.eps_psi and row[3] <= stop.eps_g:

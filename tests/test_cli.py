@@ -401,7 +401,17 @@ class TestMalformedFiles:
         # A_d^2 = 1e400: the condensed QP overflows
         ("mpc", _mpc_doc(plant={"n_xi": 1, "n_u": 1, "A_d": [1e200],
                                 "B_d": [1.0]}, horizon=3), EXIT_PARSE),
-    ], ids=["qp", "binary", "mpc"])
+        # the Newton matrix I - cJ overflows at long steps, so Newton
+        # fails there and the step shrinks; the flow converges
+        ("solve-qp", {"n": 2, "nc": 1, "H": [1e300, 0.0, 0.0, 1.0],
+                      "F": [0.0, 1.0], "A": [0.0, -1.0], "B": [-1.0]},
+         EXIT_OK),
+        # the first-step rule gives h = 0 at every restart
+        ("solve-qp", {"n": 2, "nc": 1, "H": [1e100, 0.0, 0.0, 1.0],
+                      "F": [1.0, 1.0], "A": [1.0, 1.0], "B": [-1.0]},
+         EXIT_SOLVER),
+    ], ids=["qp", "binary", "mpc", "qp-newton-overflow",
+            "qp-zero-first-step"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_entries(self, tmp_path, capsys, command, doc,
                                  code):
