@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationBoundError
-from .fileio import atomic_write_text, fmt
+from .fileio import write_csv
 from .flow import FlowParams, FlowState
 from .integrator import IntegratorConfig, StopCriteria, solve
 from .problem import Problem
@@ -196,11 +196,10 @@ def deflate_cost(f, centres, amplitudes, x_s, z_s):
 
 @dataclass(frozen=True)
 class DeflationRecord:
-    """One visited local minimum: visit index s, the rounded vertex x_s
-    of a converged inner solve, its admissible neighbor z_s (None when
-    none exists), and its original cost and native feasibility."""
+    """One visited local minimum: the rounded vertex x_s of a converged
+    inner solve, its admissible neighbor z_s (None when none exists),
+    and its original cost and native feasibility."""
 
-    s: int
     x_s: np.ndarray
     z_s: Optional[np.ndarray]
     f_original: float
@@ -221,25 +220,18 @@ class BinaryRunResult:
 
     def to_csv(self, path, oracle_f: Optional[float] = None,
                oracle_skipped: bool = False) -> None:
-        """One row per record: s, x_s, f_original, native_feasible, z_s
-        (bit strings; z_s empty when none) and gap = f_original -
-        oracle_f ("skipped" past the oracle bound, empty without one)."""
-        header = "s,x_s,f_original,native_feasible,neighbor,gap"
-        lines = [header]
-        for r in self.records:
-            bits = "".join(str(int(b)) for b in r.x_s)
-            nbits = ("" if r.z_s is None
-                     else "".join(str(int(b)) for b in r.z_s))
-            if oracle_skipped:
-                gap = "skipped"
-            elif oracle_f is None:
-                gap = ""
-            else:
-                gap = fmt(r.f_original - oracle_f)
-            lines.append(",".join([
-                str(r.s), bits, fmt(r.f_original),
-                str(r.native_feasible).lower(), nbits, gap]))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        """One row per record: s (its index), x_s, f_original,
+        native_feasible, z_s (bit strings; z_s empty when none) and gap =
+        f_original - oracle_f ("skipped" past the oracle bound, empty
+        without one)."""
+        def bits(x):
+            return "" if x is None else "".join(str(int(b)) for b in x)
+
+        write_csv(path, "s,x_s,f_original,native_feasible,neighbor,gap", [
+            (s, bits(r.x_s), r.f_original, str(r.native_feasible).lower(),
+             bits(r.z_s), "skipped" if oracle_skipped else
+             "" if oracle_f is None else r.f_original - oracle_f)
+            for s, r in enumerate(self.records)])
 
 
 def solve_binary(bp: Problem, params: Optional[FlowParams] = None,
@@ -288,7 +280,7 @@ def solve_binary(bp: Problem, params: Optional[FlowParams] = None,
         z = find_neighbor(x_vertex, bp)
         if not any(np.array_equal(x_vertex, r.x_s) for r in records):
             records.append(DeflationRecord(
-                s=len(records), x_s=x_vertex, z_s=z,
+                x_s=x_vertex, z_s=z,
                 f_original=float(bp.f(x_vertex)),
                 native_feasible=native_feasible(bp, x_vertex)))
         if z is None:

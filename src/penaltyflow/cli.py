@@ -119,13 +119,10 @@ def cmd_bench(args) -> int:
                 continue
             # psi and f/f_oracle per retained sample, the figure data
             tr = row.result.trajectory
-            lines = ["t,psi,f_ratio"]
-            for r in tr:
-                lines.append(f"{fileio.fmt(r[0])},{fileio.fmt(r[2])},"
-                             f"{fileio.fmt(r[4] / row.f_oracle)}")
-            fileio.atomic_write_text(
+            fileio.write_csv(
                 os.path.join(args.trace, f"traj_seed{row.seed}.csv"),
-                "\n".join(lines) + "\n")
+                "t,psi,f_ratio",
+                zip(tr[:, 0], tr[:, 2], tr[:, 4] / row.f_oracle))
     print(f"wrote {args.report}: {len(report.rows)} instances, "
           f"{'all passed' if report.passed else 'FAILING'}")
     if not report.passed:

@@ -2,8 +2,11 @@
 
 Problem and scenario files are JSON. Matrices are stored as row-major
 flat lists; Python's float repr is shortest-round-trip, so a file that
-``json.dumps`` wrote loads back bit exact. All writes go through a temp
-file in the target directory followed by an atomic rename.
+``json.dumps`` wrote loads back bit exact. ``write_csv`` is the one
+table writer: every CSV the package writes (trajectories, benchmark
+rows, closed-loop steps, visited vertices) goes through it. All writes
+go through a temp file in the target directory followed by an atomic
+rename.
 """
 
 import json
@@ -16,7 +19,7 @@ import numpy as np
 from .errors import FileFormatError
 
 __all__ = [
-    "fmt", "atomic_write_text", "load_qp",
+    "fmt", "atomic_write_text", "write_csv", "load_qp",
     "load_mpc_scenario", "load_binary_problem",
 ]
 
@@ -41,6 +44,16 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one comma-joined line per row, atomically.
+    A ``str`` cell is written as it is, a Python ``int`` (a count, a
+    seed, an index) in full, and any other cell through ``fmt`` (NaN
+    as ``nan``)."""
+    lines = [header] + [",".join(str(c) if isinstance(c, (str, int))
+                                 else fmt(c) for c in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _load_json(path):

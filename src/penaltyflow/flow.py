@@ -129,12 +129,10 @@ def _factor(g, params: FlowParams) -> float:
 
 
 def _factor_slope(g, params: FlowParams) -> float:
-    """d factor / d g: lam * series_{q-1}(lam g), 0 for q = 1, and
-    lam * exp(lam g) in the exponential mode."""
+    """d factor / d g: lam * series_{q-1}(lam g), 0 for q = 1 (the
+    series is empty), and lam * exp(lam g) in the exponential mode."""
     if params.mode == "exponential":
         return params.lam * exp_factor(g, params.lam)
-    if params.q == 1:
-        return 0.0
     return params.lam * series_factor(g, params.lam, params.q - 1)
 
 

@@ -43,7 +43,7 @@ from .errors import EvaluationError, FactorOverflowError
 from .flow import FlowParams, FlowState, flow_jacobian, flow_rhs
 from .problem import (KktReport, Problem, _finite, _kkt_report,
                       measure_state, penalty_weights)
-from .fileio import atomic_write_text, fmt
+from .fileio import write_csv
 
 __all__ = [
     "StopCriteria", "IntegratorConfig", "SolveResult", "solve",
@@ -152,11 +152,7 @@ def trajectory_header(n: int) -> str:
 def save_trajectory(result: SolveResult, path) -> None:
     """Write the sampled trajectory as CSV, 17 significant digits
     (decimal round-trip exact), atomically."""
-    n = result.x.size
-    lines = [trajectory_header(n)]
-    for row in result.trajectory:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, trajectory_header(result.x.size), result.trajectory)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .fileio import atomic_write_text, fmt
+from .fileio import write_csv
 from .flow import FlowParams, FlowState
 from .integrator import IntegratorConfig, StopCriteria, solve
 from .qp import QpData, qp_problem
@@ -204,12 +204,10 @@ class ClosedLoopTrace:
         header = ("k," + ",".join(f"xi{i}" for i in range(n_xi)) + ","
                   + ",".join(f"u{i}" for i in range(n_u))
                   + ",status,psi_final,g_final,steps")
-        lines = [header]
-        for k, (xi, u, r) in enumerate(zip(self.xi, self.u, self.results)):
-            lines.append(",".join(
-                [str(k)] + [fmt(v) for v in xi] + [fmt(v) for v in u]
-                + [r.status, fmt(r.psi), fmt(r.g), str(r.accepted_steps)]))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, header, [
+            [k, *xi, *u, r.status, r.psi, r.g, r.accepted_steps]
+            for k, (xi, u, r) in enumerate(zip(self.xi, self.u,
+                                               self.results))])
 
 
 def simulate_closed_loop(plant: Plant, pqp: ParametricQp, xi0, steps: int,

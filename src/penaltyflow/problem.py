@@ -85,9 +85,11 @@ class PenaltyConfig:
 
 def _finite(arr) -> bool:
     """True when every entry of ``arr`` is finite. One reduction on the
-    common path; a sum that overflows from finite entries falls back to
-    the entrywise test."""
-    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+    common path: the sum of squares, which has no +inf - inf to turn
+    into NaN with a RuntimeWarning; a sum that overflows from finite
+    entries falls back to the entrywise test."""
+    return (math.isfinite(np.vdot(arr, arr))
+            or bool(np.isfinite(arr).all()))
 
 
 def penalty_weights(cvals, rho, m):

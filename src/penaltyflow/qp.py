@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import OracleError, PenaltyFlowError
-from .fileio import atomic_write_text, fmt
+from .fileio import write_csv
 from .flow import FlowParams, FlowState
 from .integrator import IntegratorConfig, SolveResult, StopCriteria, solve
 from .problem import PenaltyConfig, Problem
@@ -273,13 +273,6 @@ class BenchRow:
     x_oracle: Optional[np.ndarray] = None
     result: Optional[SolveResult] = None
 
-    def csv(self) -> str:
-        return ",".join([
-            str(self.seed), str(self.n), str(self.nc), self.status,
-            fmt(self.psi_final), fmt(self.g_final), fmt(self.f_flow),
-            fmt(self.f_oracle), fmt(self.ratio), fmt(self.stationarity),
-            str(self.steps), fmt(self.millis)])
-
 
 @dataclass
 class BenchReport:
@@ -299,8 +292,10 @@ class BenchReport:
         self.passed = not failing
 
     def to_csv(self, path) -> None:
-        lines = [BENCH_HEADER] + [r.csv() for r in self.rows]
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, BENCH_HEADER, [
+            (r.seed, r.n, r.nc, r.status, r.psi_final, r.g_final, r.f_flow,
+             r.f_oracle, r.ratio, r.stationarity, r.steps, r.millis)
+            for r in self.rows])
 
 
 def run_benchmark(count: int, n: int, n_c: int, params: FlowParams,
@@ -311,8 +306,9 @@ def run_benchmark(count: int, n: int, n_c: int, params: FlowParams,
     Instance i uses seed ``seed + i``. Every instance is solved by the
     flow from (0, 0) and by the active-set reference. A package error
     (``PenaltyFlowError``) in one instance is recorded in its row and
-    does not abort the batch; any other exception propagates. Rows are
-    ordered by seed.
+    does not abort the batch; any other exception propagates. When only
+    the oracle refuses, the row keeps the flow's columns and leaves
+    f_oracle, ratio and ``result`` unset. Rows are ordered by seed.
     """
     rows = []
     for i in range(count):
@@ -327,16 +323,16 @@ def run_benchmark(count: int, n: int, n_c: int, params: FlowParams,
         try:
             res = solve(problem, params,
                         FlowState(x=np.zeros(n), rho=0.0), stop, config)
-            oracle = active_set_oracle(data)
-            row.status = res.status
             row.psi_final = res.psi
             row.g_final = res.g
             row.f_flow = res.f
-            row.f_oracle = oracle.f_star
-            row.ratio = res.f / oracle.f_star
             if res.kkt is not None:
                 row.stationarity = res.kkt.stationarity
             row.steps = res.accepted_steps
+            oracle = active_set_oracle(data)
+            row.status = res.status
+            row.f_oracle = oracle.f_star
+            row.ratio = res.f / oracle.f_star
             row.x_oracle = oracle.x_star
             row.result = res
         except PenaltyFlowError as e:  # record, keep going

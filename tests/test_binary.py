@@ -265,7 +265,6 @@ class TestSolveBinary:
         assert res.best_f == -2.0
         assert len(res.records) == 1
         rec = res.records[0]
-        assert rec.s == 0
         np.testing.assert_array_equal(rec.x_s, [0.0, 1.0])
         np.testing.assert_array_equal(rec.z_s, [0.0, 0.0])
         assert rec.native_feasible
@@ -295,7 +294,6 @@ class TestSolveBinary:
         res = pf.solve_binary(bp, max_minima=12)
         bits = ["".join(str(int(b)) for b in r.x_s) for r in res.records]
         assert len(bits) == len(set(bits))
-        assert [r.s for r in res.records] == list(range(len(bits)))
 
     def test_minima_cap(self):
         res = pf.solve_binary(_knapsack(), max_minima=1)

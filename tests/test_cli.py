@@ -410,8 +410,13 @@ class TestMalformedFiles:
         ("solve-qp", {"n": 2, "nc": 1, "H": [1e100, 0.0, 0.0, 1.0],
                       "F": [1.0, 1.0], "A": [1.0, 1.0], "B": [-1.0]},
          EXIT_SOLVER),
+        # an evaluator output holds +inf and -inf, which must not sum
+        # to NaN with a warning on the way to rhs_failure
+        ("solve-qp", {"n": 2, "nc": 1, "H": [1e150, 0.0, 0.0, 1e150],
+                      "F": [1e100, -1e100], "A": [1.0, 1.0], "B": [-1.0]},
+         EXIT_SOLVER),
     ], ids=["qp", "binary", "mpc", "qp-newton-overflow",
-            "qp-zero-first-step"])
+            "qp-zero-first-step", "qp-inf-minus-inf"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_entries(self, tmp_path, capsys, command, doc,
                                  code):

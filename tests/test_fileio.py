@@ -1,4 +1,5 @@
-"""JSON problem-file loading, saving, and formatting helpers."""
+"""JSON problem-file loading, saving, and formatting helpers, and the
+bytes of every CSV the package writes."""
 
 import json
 
@@ -7,7 +8,9 @@ import pytest
 
 import penaltyflow as pf
 from penaltyflow.errors import FileFormatError
-from penaltyflow.fileio import atomic_write_text, fmt
+from penaltyflow.fileio import atomic_write_text, fmt, write_csv
+
+_NAN = float("nan")
 
 
 def _write(tmp_path, name, doc):
@@ -51,6 +54,97 @@ class TestAtomicWrite:
         atomic_write_text(p, "two")
         assert p.read_text() == "two"
         assert [q.name for q in tmp_path.iterdir()] == ["out.txt"]
+
+
+def _result(status, psi, g, steps, trajectory=np.zeros((0, 7))):
+    return pf.SolveResult(status=status, x=np.zeros(1), rho=0.0, t=0.0,
+                          psi=psi, g=g, f=0.0, trajectory=trajectory,
+                          accepted_steps=steps)
+
+
+class TestCsvWriters:
+    """Hand-built records, so the expected bytes depend on no solve: str
+    cells verbatim, ints in full, floats with 17 significant digits."""
+
+    def test_write_csv_cells(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, "s,i,f,n", [("x", 2 ** 60, 0.1, _NAN), ("", 0, 2.0, 1)])
+        assert p.read_text() == ("s,i,f,n\n"
+                                 "x,1152921504606846976,0.10000000000000001,"
+                                 "nan\n"
+                                 ",0,2,1\n")
+
+    def test_write_csv_header_only(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, "a,b", [])
+        assert p.read_text() == "a,b\n"
+
+    def test_trajectory(self, tmp_path):
+        res = _result("converged", 1e-9, 0.1, 3, trajectory=np.array([
+            [0.0, 0.0, 0.25, 0.1, 0.0, 0.0, 0.0],
+            [1.5, 2.0, 1e-9, 0.1, -0.5, -0.5, 0.7]]))
+        p = tmp_path / "traj.csv"
+        pf.save_trajectory(res, p)
+        assert p.read_text() == (
+            "t,rho,psi,g,f,fbar,x0\n"
+            "0,0,0.25,0.10000000000000001,0,0,0\n"
+            "1.5,2,1.0000000000000001e-09,0.10000000000000001,-0.5,-0.5,"
+            "0.69999999999999996\n")
+
+    def test_bench_report(self, tmp_path):
+        rows = [
+            pf.BenchRow(seed=3, n=2, nc=1, status="converged",
+                        psi_final=1e-9, g_final=2.5e-7, f_flow=-0.5,
+                        f_oracle=-0.5, ratio=1.0, stationarity=2.5e-7,
+                        steps=42, millis=1.5),
+            pf.BenchRow(seed=4, n=2, nc=1, status="error:OracleError",
+                        psi_final=_NAN, g_final=_NAN, f_flow=_NAN,
+                        f_oracle=_NAN, ratio=_NAN, stationarity=_NAN,
+                        steps=0, millis=0.25)]
+        p = tmp_path / "bench.csv"
+        pf.BenchReport(rows=rows).to_csv(p)
+        assert p.read_text() == (
+            "seed,n,nc,status,psi_final,g_final,f_flow,f_oracle,ratio,"
+            "stationarity,steps,millis\n"
+            "3,2,1,converged,1.0000000000000001e-09,2.4999999999999999e-07,"
+            "-0.5,-0.5,1,2.4999999999999999e-07,42,1.5\n"
+            "4,2,1,error:OracleError,nan,nan,nan,nan,nan,nan,0,0.25\n")
+
+    def test_closed_loop_trace(self, tmp_path):
+        trace = pf.ClosedLoopTrace(
+            xi=np.array([[1.0, 0.0], [0.7, -0.25]]),
+            u=np.array([[-0.5], [0.1]]),
+            results=[_result("converged", 0.0, 1e-9, 12),
+                     _result("t_max_reached", 1e-3, 0.2, 7)])
+        p = tmp_path / "trace.csv"
+        trace.to_csv(p)
+        assert p.read_text() == (
+            "k,xi0,xi1,u0,status,psi_final,g_final,steps\n"
+            "0,1,0,-0.5,converged,0,1.0000000000000001e-09,12\n"
+            "1,0.69999999999999996,-0.25,0.10000000000000001,t_max_reached,"
+            "0.001,0.20000000000000001,7\n")
+
+    @pytest.mark.parametrize("kwargs, gaps", [
+        ({"oracle_f": -2.0}, ("0", "2.1000000000000001")),
+        ({"oracle_f": -2.0, "oracle_skipped": True}, ("skipped", "skipped")),
+        ({}, ("", "")),
+    ], ids=["gap", "skipped", "no-oracle"])
+    def test_binary_run(self, tmp_path, kwargs, gaps):
+        records = [
+            pf.DeflationRecord(x_s=np.array([0.0, 1.0]),
+                               z_s=np.array([0.0, 0.0]), f_original=-2.0,
+                               native_feasible=True),
+            pf.DeflationRecord(x_s=np.array([1.0, 1.0]), z_s=None,
+                               f_original=0.1, native_feasible=False)]
+        run = pf.BinaryRunResult(records=records, best_x=records[0].x_s,
+                                 best_f=-2.0, status="no_neighbor",
+                                 inner_solves=2)
+        p = tmp_path / "run.csv"
+        run.to_csv(p, **kwargs)
+        assert p.read_text() == (
+            "s,x_s,f_original,native_feasible,neighbor,gap\n"
+            f"0,01,-2,true,00,{gaps[0]}\n"
+            f"1,11,0.10000000000000001,false,,{gaps[1]}\n")
 
 
 class TestQpRoundTrip:

@@ -259,6 +259,12 @@ class TestRunBenchmark:
         rep = pf.run_benchmark(1, 2, 1, pf.FlowParams(),
                                pf.StopCriteria(), pf.IntegratorConfig(),
                                seed=0)
-        assert rep.rows[0].status == "error:OracleError"
+        row = rep.rows[0]
+        assert row.status == "error:OracleError"
         assert not rep.passed
         assert rep.failing_seeds == [0]
+        # the solve ran before the oracle refused: its columns stay
+        assert row.steps > 0
+        assert math.isfinite(row.psi_final)
+        assert math.isnan(row.f_oracle) and math.isnan(row.ratio)
+        assert row.result is None
